@@ -46,7 +46,6 @@ from .report import (
     report_from_json,
     report_to_json,
     report_to_text,
-    run_family_report,
 )
 from .surface import (
     OVER,

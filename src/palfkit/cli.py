@@ -13,9 +13,8 @@ from pathlib import Path
 
 from .grammar import ParseError, parse_laurent, parse_mapping_class, parse_monodromy, parse_presentation, parse_surface
 from .knots import NormalizedAlexander, alexander_from_presentation, casson_surgery
-from .lefschetz import allowable, boundary_is_homology_sphere, homology, mazur_family, pi1_presentation
-from .presentation import simplify_presentation
-from .report import build_family_report, homology_summary, report_to_json, report_to_text
+from .lefschetz import mazur_family
+from .report import build_family_report, palf_summary, report_to_json, report_to_text
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -73,20 +72,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_palf(args) -> int:
-    spec = parse_monodromy(args.input.read_text(encoding="utf-8"))
-    ok_allowable, witness = allowable(spec)
-    hom = homology(spec)
-    verdict = simplify_presentation(pi1_presentation(spec)).verdict
-    fields = {
-        "surface": str(spec.fiber),
-        "cycles": len(spec.cycles),
-        "allowable": ok_allowable,
-        "offending_cycle": witness,
-        "homology": homology_summary(hom),
-        "chi": hom.euler,
-        "boundary_homology_sphere": boundary_is_homology_sphere(spec),
-        "pi1": verdict,
-    }
+    fields = palf_summary(parse_monodromy(args.input.read_text(encoding="utf-8")))
     if args.json:
         print(json.dumps(fields, indent=2, sort_keys=True))
     else:

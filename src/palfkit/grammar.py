@@ -27,13 +27,15 @@ Laurent polynomials::
     poly := ['+'|'-'] term (('+'|'-') term)*
     term := integer ['*'] ['t' ['^' integer]] | 't' ['^' integer]
 
-All parse failures raise :class:`ParseError` carrying 1-based line and
-column numbers.
+Parentheses and ``apply(...)`` nest at most :data:`MAX_NESTING` levels
+deep.  All parse failures, a deeper nesting included, raise
+:class:`ParseError` carrying 1-based line and column numbers.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 
 from .laurent import LaurentPoly
 from .lefschetz import PALFSpec, family_twists
@@ -59,6 +61,10 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
 
+
+# Each level of parentheses or ``apply(...)`` is a recursive call of the
+# parser, so the limit keeps deep input from exhausting the interpreter stack.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()|,;{}/^*+\-]|\S")
 
@@ -104,6 +110,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -118,6 +125,15 @@ class _Parser:
     def error(self, message: str) -> ParseError:
         tok = self.current
         return ParseError(message, tok.line, tok.column)
+
+    @contextmanager
+    def nested(self):
+        """One more level of parentheses or ``apply``, at most MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        yield
+        self.depth -= 1
 
     def expect(self, kind: str) -> _Token:
         if self.current.kind != kind:
@@ -189,9 +205,10 @@ def _parse_word_letters(parser: _Parser, group: FreeGroup, index: dict[str, int]
             parser.advance()
             base = []
         elif tok.kind == "(":
-            parser.advance()
-            base = _parse_word_letters(parser, group, index)
-            parser.expect(")")
+            with parser.nested():
+                parser.advance()
+                base = _parse_word_letters(parser, group, index)
+                parser.expect(")")
         else:
             return letters
         if parser.current.kind == "^":
@@ -338,11 +355,12 @@ def _parse_curve(parser: _Parser, surface: PlanarSurface) -> Curve:
         except ValueError as exc:
             raise ParseError(str(exc), tok.line, tok.column) from exc
     if tok.text == "apply":
-        parser.expect("(")
-        phi = _parse_mapclass(parser, surface)
-        parser.expect(",")
-        curve = _parse_curve(parser, surface)
-        parser.expect(")")
+        with parser.nested():
+            parser.expect("(")
+            phi = _parse_mapclass(parser, surface)
+            parser.expect(",")
+            curve = _parse_curve(parser, surface)
+            parser.expect(")")
         return apply(phi, curve)
     raise ParseError(f"unknown curve form {tok.text!r}", tok.line, tok.column)
 
@@ -373,9 +391,10 @@ def _parse_mapclass(parser: _Parser, surface: PlanarSurface) -> MappingClass:
     while True:
         tok = parser.current
         if tok.kind == "(":
-            parser.advance()
-            base = _parse_mapclass(parser, surface)
-            parser.expect(")")
+            with parser.nested():
+                parser.advance()
+                base = _parse_mapclass(parser, surface)
+                parser.expect(")")
         elif tok.kind == "name" and tok.text in _ALIASES:
             if surface.holes != 4:
                 raise parser.error(f"alias {tok.text!r} is defined on S(0,4) only")

@@ -190,19 +190,30 @@ class FamilyInvariants:
     casson: int  # lambda of the boundary, via 1-surgery
 
 
-def family_invariants(n: int) -> FamilyInvariants:
-    """Run the full pipeline for the n-th ribbon group and cross-check every
-    stage against its closed form; any mismatch raises CalibrationError."""
+def check_family_invariants(n: int) -> tuple[FamilyInvariants, str | None]:
+    """Run the full pipeline for the n-th ribbon group and compare every
+    stage with its closed form; returns the invariants and the first
+    mismatch as a message, or None when all stages agree."""
     f = alexander_from_presentation(ribbon_presentation(n), (1, 1))
-    if f != closed_form_factor(n):
-        raise CalibrationError(f"factor polynomial mismatch at n={n}: got {f}")
     delta = fox_milnor_compose(f)
-    if delta.poly != closed_form_delta(n):
-        raise CalibrationError(f"Alexander polynomial mismatch at n={n}: got {delta}")
     d2 = delta.second_derivative_at_one()
-    if d2 != 2 * n * (n + 1):
-        raise CalibrationError(f"Delta''(1) mismatch at n={n}: got {d2}")
     lam = casson_surgery(0, 1, delta)
-    if lam != n * (n + 1):
-        raise CalibrationError(f"Casson invariant mismatch at n={n}: got {lam}")
-    return FamilyInvariants(n, f, delta, d2, lam)
+    mismatch = None
+    if f != closed_form_factor(n):
+        mismatch = f"factor polynomial mismatch at n={n}: got {f}"
+    elif delta.poly != closed_form_delta(n):
+        mismatch = f"Alexander polynomial mismatch at n={n}: got {delta}"
+    elif d2 != 2 * n * (n + 1):
+        mismatch = f"Delta''(1) mismatch at n={n}: got {d2}"
+    elif lam != n * (n + 1):
+        mismatch = f"Casson invariant mismatch at n={n}: got {lam}"
+    return FamilyInvariants(n, f, delta, d2, lam), mismatch
+
+
+def family_invariants(n: int) -> FamilyInvariants:
+    """:func:`check_family_invariants`, raising CalibrationError on any
+    mismatch."""
+    invariants, mismatch = check_family_invariants(n)
+    if mismatch is not None:
+        raise CalibrationError(mismatch)
+    return invariants

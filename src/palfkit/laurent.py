@@ -43,10 +43,6 @@ class LaurentPoly:
     def t(cls) -> LaurentPoly:
         return cls({1: 1})
 
-    @classmethod
-    def monomial(cls, coeff: int, exponent: int) -> LaurentPoly:
-        return cls({exponent: coeff})
-
     @staticmethod
     def _coerce(value: LaurentPoly | int) -> LaurentPoly:
         if isinstance(value, LaurentPoly):

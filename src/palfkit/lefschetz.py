@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .intmatrix import IntMatrix, cokernel_invariants, det, kernel_rank
+from .intmatrix import IntMatrix, cokernel_invariants, det
 from .presentation import Presentation
 from .surface import (
     Curve,
@@ -90,12 +90,14 @@ def boundary_matrix(spec: PALFSpec) -> IntMatrix:
 
 
 def homology(spec: PALFSpec) -> HomologyResult:
-    """Homology of the total space from the handle chain complex."""
+    """Homology of the total space from the handle chain complex; H2 is the
+    kernel of the boundary map, of rank ncols - nrows + free rank of H1."""
     d2 = boundary_matrix(spec)
+    h1 = cokernel_invariants(d2)
     return HomologyResult(
         h0=(1, ()),
-        h1=cokernel_invariants(d2),
-        h2=(kernel_rank(d2), ()),
+        h1=h1,
+        h2=(d2.ncols - d2.nrows + h1[0], ()),
         euler=1 - spec.fiber.rank + len(spec.cycles),
     )
 

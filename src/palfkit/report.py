@@ -13,17 +13,11 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
-from .knots import (
-    alexander_from_presentation,
-    casson_surgery,
-    closed_form_delta,
-    closed_form_factor,
-    fox_milnor_compose,
-    ribbon_presentation,
-)
+from .knots import check_family_invariants
 from .lefschetz import (
     PALFSpec,
     allowable,
+    boundary_is_homology_sphere,
     family_curves,
     homology,
     mazur_family,
@@ -76,6 +70,24 @@ def homology_summary(result) -> str:
     return ",".join(_group_str(*h) for h in (result.h0, result.h1, result.h2))
 
 
+def palf_summary(spec: PALFSpec) -> dict:
+    """The PALF-side invariants of a monodromy, in the order ``palfkit palf``
+    prints them; a family report row takes its PALF columns from here."""
+    ok_allowable, witness = allowable(spec)
+    hom = homology(spec)
+    verdict = simplify_presentation(pi1_presentation(spec)).verdict
+    return {
+        "surface": str(spec.fiber),
+        "cycles": len(spec.cycles),
+        "allowable": ok_allowable,
+        "offending_cycle": witness,
+        "homology": homology_summary(hom),
+        "chi": hom.euler,
+        "boundary_homology_sphere": boundary_is_homology_sphere(spec),
+        "pi1": verdict,
+    }
+
+
 def _conventions() -> dict:
     alpha, beta, gamma = family_curves()
     fixture = {
@@ -97,43 +109,26 @@ def _conventions() -> dict:
 CONVENTIONS = _conventions()
 
 
-def build_family_report(
-    n_max: int,
-    family: Callable[[int], PALFSpec] = mazur_family,
-    tietze_budget: int = 200,
-) -> FamilyReport:
+def build_family_report(n_max: int, family: Callable[[int], PALFSpec] = mazur_family) -> FamilyReport:
     """Compute one report row per n in 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     rows = []
     for n in range(1, n_max + 1):
-        spec = family(n)
-        ok_allowable, _ = allowable(spec)
-        hom = homology(spec)
-        verdict = simplify_presentation(pi1_presentation(spec), tietze_budget).verdict
-
-        factor = alexander_from_presentation(ribbon_presentation(n), (1, 1))
-        delta = fox_milnor_compose(factor)
-        d2 = delta.second_derivative_at_one()
-        lam = casson_surgery(0, 1, delta)
-        matches = (
-            factor == closed_form_factor(n)
-            and delta.poly == closed_form_delta(n)
-            and d2 == 2 * n * (n + 1)
-            and lam == n * (n + 1)
-        )
+        palf = palf_summary(family(n))
+        knot, mismatch = check_family_invariants(n)
         rows.append(
             FamilyReportRow(
                 n=n,
-                allowable=ok_allowable,
-                homology=homology_summary(hom),
-                chi=hom.euler,
-                pi1=verdict,
-                factor=str(factor),
-                delta=str(delta),
-                delta2_at_1=d2,
-                casson=lam,
-                closed_form_match=matches,
+                allowable=palf["allowable"],
+                homology=palf["homology"],
+                chi=palf["chi"],
+                pi1=palf["pi1"],
+                factor=str(knot.factor),
+                delta=str(knot.delta),
+                delta2_at_1=knot.second_derivative,
+                casson=knot.casson,
+                closed_form_match=mismatch is None,
             )
         )
     cassons = [row.casson for row in rows]
@@ -175,12 +170,3 @@ def report_to_text(report: FamilyReport) -> str:
     lines.append(f"no boundary is S^3:           {report.conclusions['no_boundary_is_s3']}")
     lines.append(f"all checks pass:              {report.all_pass}")
     return "\n".join(lines)
-
-
-def run_family_report(n_max: int, fmt: str = "text", family: Callable[[int], PALFSpec] = mazur_family) -> tuple[str, bool]:
-    """Build the report and render it; returns (document, all_pass)."""
-    if fmt not in ("text", "json"):
-        raise ValueError(f"unknown report format {fmt!r}")
-    report = build_family_report(n_max, family=family)
-    doc = report_to_json(report) if fmt == "json" else report_to_text(report)
-    return doc, report.all_pass

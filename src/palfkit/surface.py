@@ -21,7 +21,6 @@ build their twists through :func:`twist_of_image` instead, e.g. from a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping, Sequence, Union
 
 from .words import FreeGroup, Word, are_conjugate, substitute
@@ -255,11 +254,6 @@ def compose(phi: MappingClass, psi: MappingClass) -> MappingClass:
     images = tuple(substitute(w, phi.images) for w in psi.images)
     inverse_images = tuple(substitute(w, psi.inverse_images) for w in phi.inverse_images)
     return MappingClass._trusted(phi.surface, images, inverse_images)
-
-
-def compose_all(surface: PlanarSurface, factors: Sequence[MappingClass]) -> MappingClass:
-    """Compose left to right: the last factor is applied first."""
-    return reduce(compose, factors, MappingClass.identity(surface))
 
 
 def power(phi: MappingClass, n: int) -> MappingClass:

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_laurent, random_presentation
 from palfkit.grammar import (
+    MAX_NESTING,
     ParseError,
     parse_laurent,
     parse_mapping_class,
@@ -187,3 +188,18 @@ def test_apply_nesting():
 
     expected = apply_mc(t_b, apply_mc(t_g, standard_curve(s, (2, 3))))
     assert spec.cycles[0].word == expected.word
+
+
+def test_nesting_limit():
+    inner = "(" * (MAX_NESTING - 1) + "Tg" + ")" * (MAX_NESTING - 1)
+    assert len(parse_monodromy(f"S(0,4); T apply({inner}, std{{2,3}})").cycles) == 1
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse_monodromy(f"S(0,4); T apply(({inner}), std{{2,3}})")
+    nested_curve = "apply(T " * MAX_NESTING + "std{1}" + ", std{1})" * MAX_NESTING
+    assert parse_monodromy(f"S(0,4); T {nested_curve}").cycles[0].word == standard_curve(PlanarSurface(4), (1,)).word
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse_monodromy(f"S(0,4); T apply(T {nested_curve}, std{{1}})")
+    word = "(" * MAX_NESTING + "x y" + ")" * MAX_NESTING
+    assert parse_presentation(f"x y | {word}").relators[0] == parse_presentation("x y | x y").relators[0]
+    with pytest.raises(ParseError, match=rf"\(line 1, column {7 + MAX_NESTING}\)"):  # the first '(' too deep
+        parse_presentation(f"x y | ({word})")

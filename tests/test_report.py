@@ -5,13 +5,16 @@ import sys
 import pytest
 
 import palfkit.cli as cli
+import palfkit.knots as knots
+from palfkit.grammar import MAX_NESTING
+from palfkit.laurent import LaurentPoly
 from palfkit.lefschetz import PALFSpec, family_fiber, mazur_family
 from palfkit.report import (
     build_family_report,
+    palf_summary,
     report_from_json,
     report_to_json,
     report_to_text,
-    run_family_report,
 )
 from palfkit.surface import Curve
 
@@ -56,18 +59,16 @@ def test_json_round_trip_field_exact():
 
 
 def test_output_stable_across_runs():
-    doc1, ok1 = run_family_report(4, "json")
-    doc2, ok2 = run_family_report(4, "json")
-    assert doc1 == doc2 and ok1 and ok2
-    text1, _ = run_family_report(4, "text")
-    text2, _ = run_family_report(4, "text")
-    assert text1 == text2
+    report1, report2 = build_family_report(4), build_family_report(4)
+    assert report1.all_pass and report2.all_pass
+    assert report_to_json(report1) == report_to_json(report2)
+    assert report_to_text(report1) == report_to_text(report2)
 
 
 def test_golden_row_json():
-    doc, ok = run_family_report(1, "json")
-    assert ok
-    row = json.loads(doc)["rows"][0]
+    report = build_family_report(1)
+    assert report.all_pass
+    row = json.loads(report_to_json(report))["rows"][0]
     assert row == {
         "n": 1,
         "allowable": True,
@@ -83,19 +84,37 @@ def test_golden_row_json():
 
 
 def test_corrupted_fixture_fails():
-    doc, ok = run_family_report(2, "text", family=corrupt_family)
-    assert not ok
     report = build_family_report(2, family=corrupt_family)
     assert not report.all_pass
+    assert "all checks pass:              False" in report_to_text(report)
     assert not report.rows[0].allowable
     assert report.rows[0].homology != "Z,0,0"
 
 
 def test_invalid_arguments():
     with pytest.raises(ValueError):
-        run_family_report(0)
-    with pytest.raises(ValueError):
-        run_family_report(2, "xml")
+        build_family_report(0)
+
+
+def test_knot_side_mismatch_reaches_report(monkeypatch, capsys):
+    monkeypatch.setattr(knots, "closed_form_factor", lambda n: LaurentPoly({0: 1, 1: 1}))
+    with pytest.raises(knots.CalibrationError, match="factor polynomial mismatch at n=2"):
+        knots.family_invariants(2)
+    report = build_family_report(2)
+    assert not any(row.closed_form_match for row in report.rows)
+    assert not report.all_pass
+    assert cli.main(["family", "--n-max", "2"]) == 1
+
+
+def test_row_palf_columns_are_the_palf_summary():
+    for row in build_family_report(3).rows:
+        summary = palf_summary(mazur_family(row.n))
+        assert (row.allowable, row.homology, row.chi, row.pi1) == (
+            summary["allowable"],
+            summary["homology"],
+            summary["chi"],
+            summary["pi1"],
+        )
 
 
 def test_text_rendering_mentions_conclusions():
@@ -183,6 +202,25 @@ def test_cli_casson_rejects_bad_polynomial(capsys):
 
 def test_cli_alexander_rejects_wrong_deficiency(capsys):
     assert cli.main(["alexander", "--presentation", "x y | x y x^-1 y^-1, x^2"]) == 2
+
+
+def test_cli_alexander_deep_nesting_exit_two(capsys):
+    depth = 3000
+    text = "x | " + "(" * depth + "x" + ")" * depth
+    assert cli.main(["alexander", "--presentation", text]) == 2
+    err = capsys.readouterr().err
+    assert f"nesting deeper than {MAX_NESTING} levels" in err
+    assert "Traceback" not in err
+
+
+def test_cli_palf_deep_nesting_exit_two(tmp_path, capsys):
+    depth = 2000
+    source = tmp_path / "deep.palf"
+    source.write_text("S(0,4); T apply(" + "(" * depth + "Tg" + ")" * depth + ", std{2,3})\n")
+    assert cli.main(["palf", "--input", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert f"nesting deeper than {MAX_NESTING} levels" in err
+    assert "Traceback" not in err
 
 
 def test_cli_missing_file(tmp_path):
