@@ -28,7 +28,8 @@ Laurent polynomials::
     term := integer ['*'] ['t' ['^' integer]] | 't' ['^' integer]
 
 Parentheses and ``apply(...)`` nest at most :data:`MAX_NESTING` levels
-deep.  All parse failures, a deeper nesting included, raise
+deep, and a presentation word expands to at most :data:`MAX_WORD_LETTERS`
+letters.  All parse failures, these two limits included, raise
 :class:`ParseError` carrying 1-based line and column numbers.
 """
 
@@ -65,6 +66,12 @@ class ParseError(ValueError):
 # Each level of parentheses or ``apply(...)`` is a recursive call of the
 # parser, so the limit keeps deep input from exhausting the interpreter stack.
 MAX_NESTING = 100
+
+# A word's length once every ``x^k`` is expanded, letters of nested
+# parentheses included.  Far above any word the family needs (the ribbon
+# relator of index n has 4n + 2 letters), and small enough that a huge
+# exponent is refused before it is expanded.
+MAX_WORD_LETTERS = 100_000
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()|,;{}/^*+\-]|\S")
 
@@ -211,14 +218,18 @@ def _parse_word_letters(parser: _Parser, group: FreeGroup, index: dict[str, int]
                 parser.expect(")")
         else:
             return letters
-        if parser.current.kind == "^":
+        exponent = 1
+        at = parser.current
+        if at.kind == "^":
             parser.advance()
             exponent = parser.parse_int()
             if exponent < 0:
                 base = [-x for x in reversed(base)]
                 exponent = -exponent
-            base = base * exponent
-        letters.extend(base)
+        # checked before ``base * exponent`` is allocated
+        if len(letters) + len(base) * exponent > MAX_WORD_LETTERS:
+            raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters once expanded", at.line, at.column)
+        letters.extend(base * exponent)
 
 
 # -- Laurent polynomials -----------------------------------------------------

@@ -10,7 +10,11 @@ given by the homology classes of the cycles.
 Family conventions (calibrated; see README):
   * fiber S(0,4); alpha = std{1}, beta = std{1,2}, gamma = std{2,3};
   * ``compose(f, g)`` applies g first, and the n-th vanishing cycle is
-    the image of gamma under the n-th power of compose(t_gamma, t_beta);
+    the image of gamma under the n-th power of phi = compose(t_gamma, t_beta);
+    its word is built by n applications of phi to the word of gamma, and
+    its provenance is ``ImagePosition(phi, gamma, n)``, so phi^n itself is
+    composed only when it is read: to twist about the cycle, or to apply a
+    further map to it;
   * the monodromy of ``(c1, ..., cm)`` composes as t_c1 . t_c2 ... t_cm
     (rightmost applied first).
 """
@@ -25,12 +29,11 @@ from .intmatrix import IntMatrix, cokernel_invariants, det
 from .presentation import Presentation
 from .surface import (
     Curve,
+    ImagePosition,
     MappingClass,
     PlanarSurface,
-    apply,
     compose,
     dehn_twist,
-    power,
     standard_curve,
 )
 
@@ -153,13 +156,17 @@ def mazur_family(n: int) -> PALFSpec:
 
     Vanishing cycles are (alpha, beta, gamma_n) on the 4-holed sphere,
     where gamma_n is the image of gamma under the n-th power of
-    ``compose(t_gamma, t_beta)``.  ``n = 0`` (the untwisted gamma) is
-    allowed as a degenerate diagnostic.
+    ``phi = compose(t_gamma, t_beta)``.  The word of gamma_n comes from
+    applying phi to the word of gamma n times, at O(|gamma_k|) per step;
+    phi^n is not composed here (see ``ImagePosition.composite``).
+    ``n = 0`` (the untwisted gamma) is allowed as a degenerate diagnostic.
     """
     if n < 0:
         raise ValueError("family index must be nonnegative")
     s = family_fiber()
     alpha, beta, gamma = family_curves(s)
     phi = compose(dehn_twist(gamma), dehn_twist(beta))
-    gamma_n = apply(power(phi, n), gamma)
-    return PALFSpec(s, (alpha, beta, gamma_n))
+    word = gamma.word
+    for _ in range(n):
+        word = phi(word)
+    return PALFSpec(s, (alpha, beta, Curve(s, word, ImagePosition(phi, gamma, n))))

@@ -73,10 +73,18 @@ class StandardPosition:
 
 @dataclass(frozen=True)
 class ImagePosition:
-    """Provenance of a curve obtained as a mapping-class image."""
+    """Provenance of a curve obtained as a mapping-class image: the curve
+    is the image of ``base`` under ``phi^exponent``."""
 
     phi: "MappingClass"
     base: "Curve"
+    exponent: int = 1
+
+    @property
+    def composite(self) -> "MappingClass":
+        """The map ``phi^exponent``, built only when it is read (to twist
+        about the curve or to flatten a further image)."""
+        return power(self.phi, self.exponent)
 
 
 class Curve:
@@ -257,15 +265,17 @@ def compose(phi: MappingClass, psi: MappingClass) -> MappingClass:
 
 
 def power(phi: MappingClass, n: int) -> MappingClass:
+    """``phi^n`` by square-and-multiply from the top bit of ``n``;
+    ``power(phi, 1)`` is ``phi`` itself."""
     if n < 0:
         return power(phi.inverse(), -n)
-    result = MappingClass.identity(phi.surface)
-    base = phi
-    while n:
-        if n & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        n >>= 1
+    if n == 0:
+        return MappingClass.identity(phi.surface)
+    result = phi
+    for bit in bin(n)[3:]:
+        result = compose(result, result)
+        if bit == "1":
+            result = compose(result, phi)
     return result
 
 
@@ -278,7 +288,7 @@ def apply(phi: MappingClass, target: Union[Word, Curve]) -> Union[Word, Curve]:
     if target.surface != phi.surface:
         raise ValueError("curve does not live on the mapping class surface")
     if isinstance(target.provenance, ImagePosition):
-        provenance = ImagePosition(compose(phi, target.provenance.phi), target.provenance.base)
+        provenance = ImagePosition(compose(phi, target.provenance.composite), target.provenance.base)
     else:
         provenance = ImagePosition(phi, target)
     return Curve(phi.surface, phi(target.word), provenance)
@@ -302,7 +312,7 @@ def dehn_twist(curve: Curve, enclosed: Sequence[int] | None = None) -> MappingCl
     if isinstance(prov, ImagePosition):
         if enclosed is not None:
             raise ValueError("enclosed holes are determined by the base curve of an image curve")
-        return twist_of_image(prov.phi, prov.base)
+        return twist_of_image(prov.composite, prov.base)
 
     if isinstance(prov, StandardPosition):
         holes = prov.holes

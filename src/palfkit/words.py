@@ -68,6 +68,22 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def _join(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """Concatenate two freely reduced letter tuples, cancelling only at the
+    junction; the result is freely reduced."""
+    k = 0
+    limit = min(len(left), len(right))
+    while k < limit and left[-1 - k] == -right[k]:
+        k += 1
+    return left[:len(left) - k] + right[k:]
+
+
+def _inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
+    # built from a list, so the tuple is allocated once at its final size;
+    # tuple() over a generator grows it by resizing, which fragments the heap
+    return tuple([-x for x in reversed(letters)])
+
+
 class Word:
     """An element of a free group, always freely reduced.
 
@@ -88,6 +104,16 @@ class Word:
                 raise ValueError(f"letter {x} out of range for rank {group.rank}")
         self.group = group
         self.letters = free_reduce(letters)
+
+    @classmethod
+    def _trusted(cls, group: FreeGroup, letters: tuple[int, ...]) -> Word:
+        # skip validation and reduction: the letters are already in range for
+        # the group and freely reduced, e.g. a product of reduced words after
+        # junction cancellation or the output of free_reduce
+        self = object.__new__(cls)
+        self.group = group
+        self.letters = letters
+        return self
 
     # -- basic protocol ------------------------------------------------
 
@@ -128,20 +154,20 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         self._check_group(other)
-        return Word(self.group, self.letters + other.letters)
+        return Word._trusted(self.group, _join(self.letters, other.letters))
 
     def inverse(self) -> Word:
-        return Word(self.group, tuple(-x for x in reversed(self.letters)))
+        return Word._trusted(self.group, _inverse_letters(self.letters))
 
     def __pow__(self, n: int) -> Word:
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.group, self.letters * n)
+        return Word._trusted(self.group, free_reduce(self.letters * n))
 
     def conjugate(self, by: Word) -> Word:
         """Return ``by * self * by^-1``."""
         self._check_group(by)
-        return Word(self.group, by.letters + self.letters + tuple(-x for x in reversed(by.letters)))
+        return Word._trusted(self.group, _join(_join(by.letters, self.letters), _inverse_letters(by.letters)))
 
     @property
     def is_identity(self) -> bool:
@@ -180,23 +206,27 @@ class Word:
         while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
             lo += 1
             hi -= 1
-        return Word(self.group, letters[lo:hi])
+        return Word._trusted(self.group, letters[lo:hi])
 
 
 def substitute(word: Word, images: Sequence[Word], target: FreeGroup | None = None) -> Word:
     """Apply the homomorphism sending generator ``i`` to ``images[i]``.
 
-    The target group defaults to the group of the image words.
+    The target group defaults to the group of the image words, and every
+    image must live in it.
     """
     if len(images) != word.group.rank:
         raise ValueError("need one image word per generator")
     if target is None:
         target = images[0].group if images else word.group
-    letters: list[int] = []
-    for x in word.letters:
-        img = images[abs(x) - 1]
-        letters.extend(img.letters if x > 0 else (-y for y in reversed(img.letters)))
-    return Word(target, letters)
+    if any(img.group != target for img in images):
+        raise ValueError("image words must live in the target group")
+    table: dict[int, tuple[int, ...]] = {}
+    for i, img in enumerate(images, 1):
+        table[i] = img.letters
+        table[-i] = _inverse_letters(img.letters)
+    letters = [y for x in word.letters for y in table[x]]
+    return Word._trusted(target, free_reduce(letters))
 
 
 def are_conjugate(u: Word, v: Word) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from conftest import random_laurent, random_presentation
 from palfkit.grammar import (
     MAX_NESTING,
+    MAX_WORD_LETTERS,
     ParseError,
     parse_laurent,
     parse_mapping_class,
@@ -203,3 +204,14 @@ def test_nesting_limit():
     assert parse_presentation(f"x y | {word}").relators[0] == parse_presentation("x y | x y").relators[0]
     with pytest.raises(ParseError, match=rf"\(line 1, column {7 + MAX_NESTING}\)"):  # the first '(' too deep
         parse_presentation(f"x y | ({word})")
+
+
+def test_word_length_limit():
+    assert len(parse_presentation(f"x | x^{MAX_WORD_LETTERS}").relators[0]) == MAX_WORD_LETTERS
+    assert len(parse_presentation(f"x y | (x y)^-{MAX_WORD_LETTERS // 2}").relators[0]) == MAX_WORD_LETTERS
+    with pytest.raises(ParseError, match=rf"longer than {MAX_WORD_LETTERS} letters"):
+        parse_presentation(f"x | x^{MAX_WORD_LETTERS} x")
+    with pytest.raises(ParseError, match=r"\(line 1, column 15\)"):  # at the outer '^'
+        parse_presentation("x y | (x^1000)^1000")
+    with pytest.raises(ParseError, match=r"\(line 1, column 8\)"):
+        parse_presentation("x y | x^1000000000000 y^-1")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import minor_gcd_cokernel, random_word
+from conftest import minor_gcd_cokernel, random_twist_product, random_word
 from palfkit.intmatrix import IntMatrix, cokernel_invariants
 from palfkit.lefschetz import (
     HomologyResult,
@@ -18,7 +18,17 @@ from palfkit.lefschetz import (
     pi1_presentation,
     total_monodromy,
 )
-from palfkit.surface import Curve, MappingClass, PlanarSurface, apply, compose, power, standard_curve, dehn_twist
+from palfkit.surface import (
+    Curve,
+    MappingClass,
+    PlanarSurface,
+    apply,
+    compose,
+    dehn_twist,
+    power,
+    standard_curve,
+    twist_of_image,
+)
 
 S4 = PlanarSurface(4)
 
@@ -243,13 +253,64 @@ def test_family_negative_index_rejected():
 
 
 def test_family_cycle_matches_sequential_application():
-    # the n-th cycle from binary powering equals applying the composite n times
+    # the n-th cycle equals gamma carried through apply() n times, each call
+    # flattening the provenance into one composite
     t_a, t_b, t_g = family_twists()
     phi = compose(t_g, t_b)
     current = family_curves()[2]
     for n in range(8):
         assert mazur_family(n).cycles[2].word == current.word
         current = apply(phi, current)
+
+
+def _family_phi() -> MappingClass:
+    _t_a, t_b, t_g = family_twists()
+    return compose(t_g, t_b)
+
+
+def test_family_cycle_matches_binary_powering():
+    # mazur_family applies phi to the word n times; binary powering is an
+    # independent oracle for the same word
+    phi = _family_phi()
+    gamma = family_curves()[2]
+    for n in range(41):
+        word = mazur_family(n).cycles[2].word
+        assert word == apply(power(phi, n), gamma).word
+        assert len(word) == (14 * n - 4 if n else 2)
+
+
+def test_family_cycle_provenance_is_phi_to_the_n():
+    phi = _family_phi()
+    gamma = family_curves()[2]
+    for n in range(6):
+        cycle = mazur_family(n).cycles[2]
+        prov = cycle.provenance
+        assert (prov.phi, prov.exponent) == (phi, n)
+        assert prov.base.word == gamma.word
+        assert dehn_twist(cycle) == twist_of_image(power(phi, n), gamma)
+
+
+def test_family_construction_composes_no_power(monkeypatch):
+    import palfkit.surface
+
+    def refuse(*args):
+        raise AssertionError("mazur_family must not build phi^n")
+
+    monkeypatch.setattr(palfkit.surface, "power", refuse)
+    assert len(mazur_family(30).cycles[2].word) == 14 * 30 - 4
+
+
+def test_apply_to_family_cycle_flattens_provenance():
+    rng = random.Random(41)
+    phi = _family_phi()
+    for n in range(5):
+        cycle = mazur_family(n).cycles[2]
+        psi = random_twist_product(rng, S4)
+        image = apply(psi, cycle)
+        assert image.provenance.base is cycle.provenance.base
+        assert image.provenance.exponent == 1
+        assert image.provenance.phi == compose(psi, power(phi, n))
+        assert image.word == psi(cycle.word)
 
 
 def test_family_depends_on_n():

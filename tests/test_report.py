@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import palfkit.cli as cli
 import palfkit.knots as knots
-from palfkit.grammar import MAX_NESTING
+from palfkit.grammar import MAX_NESTING, MAX_WORD_LETTERS
 from palfkit.laurent import LaurentPoly
 from palfkit.lefschetz import PALFSpec, family_fiber, mazur_family
 from palfkit.report import (
@@ -220,6 +221,20 @@ def test_cli_palf_deep_nesting_exit_two(tmp_path, capsys):
     assert cli.main(["palf", "--input", str(source)]) == 2
     err = capsys.readouterr().err
     assert f"nesting deeper than {MAX_NESTING} levels" in err
+    assert "Traceback" not in err
+
+
+def test_cli_alexander_huge_exponent_exit_two(capsys):
+    tracemalloc.start()
+    try:
+        status = cli.main(["alexander", "--presentation", "x y | x^1000000000000 y^-1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert peak < 1_000_000  # refused before the power is expanded
+    err = capsys.readouterr().err
+    assert f"longer than {MAX_WORD_LETTERS} letters" in err
     assert "Traceback" not in err
 
 

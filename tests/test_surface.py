@@ -157,12 +157,18 @@ def test_compose_is_function_composition():
 
 
 def test_power_matches_repeated_compose():
+    rng = random.Random(69)
     t_g = dehn_twist(standard_curve(S4, (2, 3)))
     t_b = dehn_twist(standard_curve(S4, (1, 2)))
-    phi = compose(t_g, t_b)
-    assert power(phi, 2) == compose(compose(t_g, t_b), compose(t_g, t_b))
-    assert power(phi, 0).is_identity
-    assert power(phi, -1) == phi.inverse()
+    for phi in (compose(t_g, t_b), random_twist_product(rng, S4), random_twist_product(rng, S4)):
+        for k in range(-6, 10):
+            step = phi if k >= 0 else phi.inverse()
+            expected = MappingClass.identity(S4)
+            for _ in range(abs(k)):
+                expected = compose(expected, step)
+            result = power(phi, k)
+            assert result == expected
+            assert result.inverse_images == expected.inverse_images
 
 
 def test_twist_invertibility_and_delta_conjugacy():
@@ -232,6 +238,8 @@ def test_apply_on_curves_tracks_class_and_provenance():
     again = apply(phi, image)
     assert again.provenance.base is gamma  # provenance chain is flattened
     assert again.word == phi(phi(gamma.word))
+    assert (image.provenance.exponent, again.provenance.exponent) == (1, 1)
+    assert again.provenance.composite == compose(phi, phi)
 
 
 # -- image twists and the lantern -------------------------------------------

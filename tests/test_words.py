@@ -129,3 +129,44 @@ def test_substitute_is_homomorphism():
         b = random_word(rng, F2, 10)
         assert substitute(a * b, images) == substitute(a, images) * substitute(b, images)
     assert substitute(F2.identity, images) == target.identity
+
+
+def test_substitute_rejects_images_outside_target():
+    other = FreeGroup(2, ("a", "b"))
+    with pytest.raises(ValueError):
+        substitute(X * Y, [X, other.generator(0)])
+    with pytest.raises(ValueError):
+        substitute(X * Y, [X, Y], target=other)
+    with pytest.raises(ValueError):
+        substitute(X, [FreeGroup(3).generator(2), Y], target=F2)
+
+
+def _naive_inverse(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+def test_trusted_results_match_validating_constructor():
+    # the group operations build their results without re-validating or
+    # fully re-reducing; each must equal the validating constructor applied
+    # to the naive letter sequence
+    rng = random.Random(16)
+    groups = (F2, FreeGroup(3))
+    for _ in range(600):
+        group = rng.choice(groups)
+        a = random_word(rng, group, 12)
+        b = random_word(rng, group, 12)
+        if rng.random() < 0.5:  # make b undo a tail of a, so cancellation crosses the junction
+            b = Word(group, _naive_inverse(a.letters[len(a) - rng.randrange(len(a) + 1):]) + b.letters)
+        assert a.inverse() == Word(group, _naive_inverse(a.letters))
+        assert a * b == Word(group, a.letters + b.letters)
+        assert b * a == Word(group, b.letters + a.letters)
+        assert a.conjugate(b) == Word(group, b.letters + a.letters + _naive_inverse(b.letters))
+        k = rng.randrange(-3, 4)
+        assert a ** k == Word(group, (a.letters if k >= 0 else _naive_inverse(a.letters)) * abs(k))
+        target = rng.choice(groups)
+        images = [random_word(rng, target, 6) for _ in range(group.rank)]
+        naive = []
+        for x in a.letters:
+            img = images[abs(x) - 1].letters
+            naive.extend(img if x > 0 else _naive_inverse(img))
+        assert substitute(a, images) == Word(target, naive)
