@@ -28,9 +28,10 @@ Laurent polynomials::
     term := integer ['*'] ['t' ['^' integer]] | 't' ['^' integer]
 
 Parentheses and ``apply(...)`` nest at most :data:`MAX_NESTING` levels
-deep, and a presentation word expands to at most :data:`MAX_WORD_LETTERS`
-letters.  All parse failures, these two limits included, raise
-:class:`ParseError` carrying 1-based line and column numbers.
+deep, a presentation word expands to at most :data:`MAX_WORD_LETTERS`
+letters, and a surface has at most :data:`MAX_HOLES` holes.  All parse
+failures, these three limits included, raise :class:`ParseError`
+carrying 1-based line and column numbers.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ MAX_NESTING = 100
 # relator of index n has 4n + 2 letters), and small enough that a huge
 # exponent is refused before it is expanded.
 MAX_WORD_LETTERS = 100_000
+
+# Holes of a surface header.  S(0,r) has r - 1 generator names and a boundary
+# word of r - 1 letters, so the header alone sets an allocation.  Far above
+# the S(0,4) of the family, and small enough that a huge header is refused
+# before the surface is built.
+MAX_HOLES = 1000
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()|,;{}/^*+\-]|\S")
 
@@ -332,6 +339,8 @@ def _parse_surface(parser: _Parser) -> PlanarSurface:
     holes = parser.parse_int()
     if holes < 1:
         raise parser.error("surface needs at least one hole")
+    if holes > MAX_HOLES:
+        raise parser.error(f"surface has more than {MAX_HOLES} holes")
     parser.expect(")")
     return PlanarSurface(holes)
 

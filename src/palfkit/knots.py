@@ -25,11 +25,7 @@ class CalibrationError(RuntimeError):
 
 def unit_equivalent(p: LaurentPoly, q: LaurentPoly) -> bool:
     """Equality in Z[t, t^-1] up to multiplication by +-t^k."""
-    if not p or not q:
-        return not p and not q
-    a = p.shift(-p.min_exponent)
-    b = q.shift(-q.min_exponent)
-    return a == b or a == -b
+    return unit_normalize(p) == unit_normalize(q)
 
 
 def unit_normalize(p: LaurentPoly) -> LaurentPoly:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .intmatrix import IntMatrix, cokernel_invariants, det
+from .intmatrix import IntMatrix, cokernel_invariants
 from .presentation import Presentation
 from .surface import (
     Curve,
@@ -107,9 +107,9 @@ def homology(spec: PALFSpec) -> HomologyResult:
 
 def boundary_is_homology_sphere(spec: PALFSpec) -> bool:
     """True when the total space is a homology ball, so the boundary is a
-    homology 3-sphere: square boundary map of determinant +-1."""
-    d2 = boundary_matrix(spec)
-    return d2.nrows == d2.ncols and det(d2) in (1, -1)
+    homology 3-sphere: H1 = H2 = 0, which holds exactly when the boundary
+    map is square of determinant +-1."""
+    return homology(spec).is_point
 
 
 def pi1_presentation(spec: PALFSpec) -> Presentation:

@@ -76,18 +76,7 @@ class SimplifyResult:
 
 def _cyclic_canonical(word: Word) -> Word:
     """Least rotation of the cyclic reduction of the word or its inverse."""
-    core = word.cyclic_reduction().letters
-    if not core:
-        return Word(word.group, ())
-    best = None
-    for letters in (core, tuple(-x for x in reversed(core))):
-        doubled = letters + letters
-        n = len(letters)
-        for i in range(n):
-            cand = doubled[i:i + n]
-            if best is None or cand < best:
-                best = cand
-    return Word(word.group, best)
+    return min(word.least_rotation(), word.inverse().least_rotation(), key=lambda w: w.letters)
 
 
 def _normalized(relators: Sequence[Word]) -> list[Word]:
@@ -114,25 +103,20 @@ def _eliminate(group: FreeGroup, relators: list[Word]) -> tuple[FreeGroup, list[
             continue
         target = single[0]
         pos = next(i for i, x in enumerate(rel.letters) if abs(x) == target)
-        u = Word(group, rel.letters[:pos])
-        v = Word(group, rel.letters[pos + 1:])
+        u = Word._trusted(group, rel.letters[:pos])
+        v = Word._trusted(group, rel.letters[pos + 1:])
         # u g v = 1 gives g = u^-1 v^-1; u g^-1 v = 1 gives g = v u
         solution = u.inverse() * v.inverse() if rel.letters[pos] > 0 else v * u
 
-        images = [group.generator(i) if i != target - 1 else solution for i in range(group.rank)]
         new_group = FreeGroup(
             group.rank - 1,
             tuple(n for i, n in enumerate(group.names) if i != target - 1),
         )
-        down = [Word(new_group, (i + 1 if i < target - 1 else i,)) for i in range(group.rank) if i != target - 1]
-        down.insert(target - 1, new_group.identity)  # placeholder, never used
-
-        new_relators = []
-        for i, other in enumerate(relators):
-            if i == ridx:
-                continue
-            in_old = substitute(other, images)
-            new_relators.append(substitute(in_old, down, target=new_group))
+        # the solution avoids the target, so letters past it move down one place
+        moved = tuple(x - 1 if x > target else x + 1 if x < -target else x for x in solution.letters)
+        images = new_group.generators()
+        images.insert(target - 1, Word._trusted(new_group, moved))
+        new_relators = [substitute(other, images, target=new_group) for i, other in enumerate(relators) if i != ridx]
         return new_group, new_relators
     return None
 
@@ -143,12 +127,9 @@ def _shorten_by_product(relators: list[Word]) -> list[Word] | None:
         for j, rj in enumerate(relators):
             if i == j:
                 continue
-            core = rj.letters
-            n = len(core)
-            for offset in range(n):
-                rotated = core[offset:] + core[:offset]
-                for letters in (rotated, tuple(-x for x in reversed(rotated))):
-                    candidate = (ri * Word(ri.group, letters)).cyclic_reduction()
+            for rotated in rj.rotations():
+                for factor in (rotated, rotated.inverse()):
+                    candidate = (ri * factor).cyclic_reduction()
                     if len(candidate) < len(ri):
                         out = list(relators)
                         out[i] = candidate

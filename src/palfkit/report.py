@@ -17,7 +17,6 @@ from .knots import check_family_invariants
 from .lefschetz import (
     PALFSpec,
     allowable,
-    boundary_is_homology_sphere,
     family_curves,
     homology,
     mazur_family,
@@ -83,7 +82,7 @@ def palf_summary(spec: PALFSpec) -> dict:
         "offending_cycle": witness,
         "homology": homology_summary(hom),
         "chi": hom.euler,
-        "boundary_homology_sphere": boundary_is_homology_sphere(spec),
+        "boundary_homology_sphere": hom.is_point,
         "pi1": verdict,
     }
 

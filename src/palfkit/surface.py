@@ -64,11 +64,9 @@ class PlanarSurface:
 
 @dataclass(frozen=True)
 class StandardPosition:
-    """Provenance of a standard-position curve: enclosed holes and, for
-    each skipped hole between them, whether the curve passes over it."""
+    """Provenance of a standard-position curve: its enclosed holes."""
 
     holes: tuple[int, ...]
-    sides: tuple[tuple[int, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ def standard_curve(
         letters.extend(-s for s in reversed(gap_over))
         prev = h
     word = Word(surface.group, letters)
-    provenance = StandardPosition(tuple(enclosed), tuple(sorted(sides.items())))
+    provenance = StandardPosition(tuple(enclosed))
     return Curve(surface, word, provenance)
 
 
@@ -298,7 +296,7 @@ def _contiguous_run(holes: Sequence[int]) -> bool:
     return bool(holes) and holes[-1] - holes[0] + 1 == len(holes)
 
 
-def dehn_twist(curve: Curve, enclosed: Sequence[int] | None = None) -> MappingClass:
+def dehn_twist(curve: Curve) -> MappingClass:
     """The positive Dehn twist about a supported curve.
 
     Supported positions are standard curves whose enclosed holes form a
@@ -310,24 +308,11 @@ def dehn_twist(curve: Curve, enclosed: Sequence[int] | None = None) -> MappingCl
     prov = curve.provenance
 
     if isinstance(prov, ImagePosition):
-        if enclosed is not None:
-            raise ValueError("enclosed holes are determined by the base curve of an image curve")
         return twist_of_image(prov.composite, prov.base)
-
-    if isinstance(prov, StandardPosition):
-        holes = prov.holes
-        if enclosed is not None and tuple(sorted(enclosed)) != holes:
-            raise ValueError(f"enclosed holes {tuple(enclosed)} disagree with curve position {holes}")
-    elif enclosed is not None:
-        expected = standard_curve(surface, tuple(enclosed))
-        if expected.word != curve.word:
-            raise UnsupportedCurveError(
-                "curve word is not the standard word for the given holes; use twist_of_image"
-            )
-        holes = expected.provenance.holes  # complement-normalized
-    else:
+    if not isinstance(prov, StandardPosition):
         raise UnsupportedCurveError("curve has no usable position data; use twist_of_image")
 
+    holes = prov.holes
     if not _contiguous_run(holes):
         raise UnsupportedCurveError(
             f"direct twists support consecutive hole runs only, not {holes}; use twist_of_image"
@@ -348,9 +333,9 @@ def dehn_twist(curve: Curve, enclosed: Sequence[int] | None = None) -> MappingCl
     return MappingClass(surface, images, inverse_images)
 
 
-def twist_of_image(phi: MappingClass, curve: Curve, enclosed: Sequence[int] | None = None) -> MappingClass:
+def twist_of_image(phi: MappingClass, curve: Curve) -> MappingClass:
     """Twist about the image curve phi(curve), as phi t_curve phi^-1."""
-    base = dehn_twist(curve, enclosed)
+    base = dehn_twist(curve)
     return compose(compose(phi, base), phi.inverse())
 
 

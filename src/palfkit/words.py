@@ -47,14 +47,14 @@ class FreeGroup:
         """The one-letter word for generator ``index`` (0-based)."""
         if not 0 <= index < self.rank:
             raise ValueError(f"generator index {index} out of range for rank {self.rank}")
-        return Word(self, (index + 1,))
+        return Word._trusted(self, (index + 1,))
 
     def generators(self) -> list[Word]:
         return [self.generator(i) for i in range(self.rank)]
 
     @property
     def identity(self) -> Word:
-        return Word(self, ())
+        return Word._trusted(self, ())
 
 
 def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -208,6 +208,32 @@ class Word:
             hi -= 1
         return Word._trusted(self.group, letters[lo:hi])
 
+    def rotations(self) -> Iterator[Word]:
+        """The cyclic permutations of the cyclic reduction, starting with
+        the cyclic reduction itself; a cyclically reduced word rotates to
+        reduced words, so none is re-validated.
+
+        >>> F = FreeGroup(2, ("x", "y"))
+        >>> [str(w) for w in F.word([2, 1, 1, -2, -2]).rotations()]
+        ['x^2 y^-1', 'x y^-1 x', 'y^-1 x^2']
+        """
+        core = self.cyclic_reduction().letters
+        for i in range(len(core)):
+            yield Word._trusted(self.group, core[i:] + core[:i])
+
+    def least_rotation(self) -> Word:
+        """The least rotation of the cyclic reduction, comparing letter
+        tuples; two words are conjugate exactly when these agree.
+
+        >>> F = FreeGroup(2, ("x", "y"))
+        >>> F.word([2, 1, 2, 1, 1]).least_rotation()
+        Word('x^2 y x y')
+        """
+        core = self.cyclic_reduction().letters
+        doubled = core + core
+        n = len(core)
+        return Word._trusted(self.group, min((doubled[i:i + n] for i in range(n)), default=core))
+
 
 def substitute(word: Word, images: Sequence[Word], target: FreeGroup | None = None) -> Word:
     """Apply the homomorphism sending generator ``i`` to ``images[i]``.
@@ -231,14 +257,5 @@ def substitute(word: Word, images: Sequence[Word], target: FreeGroup | None = No
 
 def are_conjugate(u: Word, v: Word) -> bool:
     """Conjugacy test: equal cyclic reductions up to rotation."""
-    if u.group != v.group:
-        raise ValueError("words live in different free groups")
-    a = u.cyclic_reduction().letters
-    b = v.cyclic_reduction().letters
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = b + b
-    n = len(a)
-    return any(doubled[i:i + n] == a for i in range(n))
+    u._check_group(v)
+    return u.least_rotation() == v.least_rotation()

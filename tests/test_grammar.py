@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_laurent, random_presentation
 from palfkit.grammar import (
+    MAX_HOLES,
     MAX_NESTING,
     MAX_WORD_LETTERS,
     ParseError,
@@ -215,3 +216,10 @@ def test_word_length_limit():
         parse_presentation("x y | (x^1000)^1000")
     with pytest.raises(ParseError, match=r"\(line 1, column 8\)"):
         parse_presentation("x y | x^1000000000000 y^-1")
+
+
+def test_hole_limit():
+    assert parse_surface(f"S(0,{MAX_HOLES})").holes == MAX_HOLES
+    assert parse_monodromy(f"S(0,{MAX_HOLES}); T std{{1,2}}").fiber.holes == MAX_HOLES
+    with pytest.raises(ParseError, match=rf"more than {MAX_HOLES} holes"):
+        parse_surface(f"S(0,{MAX_HOLES + 1})")

@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy as sp
 
-from conftest import from_sympy, random_word, to_sympy
+from conftest import from_sympy, random_laurent, random_word, to_sympy
 from palfkit.knots import (
     CalibrationError,
     NormalizedAlexander,
@@ -197,6 +197,32 @@ def test_unit_equivalent():
     assert not unit_equivalent(1 - T, 1 + T)
     assert unit_equivalent(LaurentPoly.zero(), LaurentPoly.zero())
     assert not unit_equivalent(LaurentPoly.zero(), LaurentPoly.one())
+
+
+def _equal_up_to_sign_and_shift(p, q):
+    # the definition: p = +-t^k q for some k
+    if not p or not q:
+        return not p and not q
+    k = p.min_exponent - q.min_exponent
+    return p == q.shift(k) or p == -q.shift(k)
+
+
+def test_unit_equivalent_matches_definition():
+    rng = random.Random(81)
+    related = 0
+    for _ in range(600):
+        p = random_laurent(rng)
+        if rng.random() < 0.3:
+            p = p * (1 - T)  # p(1) = 0: the sign comes from the lowest coefficient
+        if rng.random() < 0.5:
+            q = p.shift(rng.randrange(-5, 6)) * rng.choice((1, -1))
+        else:
+            q = random_laurent(rng)
+        expected = _equal_up_to_sign_and_shift(p, q)
+        assert unit_equivalent(p, q) == expected, (p, q)
+        assert unit_equivalent(q, p) == expected, (p, q)
+        related += expected
+    assert 250 < related < 600  # both outcomes are exercised
 
 
 # -- Casson surgery --------------------------------------------------------------

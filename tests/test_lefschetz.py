@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import minor_gcd_cokernel, random_twist_product, random_word
-from palfkit.intmatrix import IntMatrix, cokernel_invariants
+from palfkit.intmatrix import IntMatrix, cokernel_invariants, det
 from palfkit.lefschetz import (
     HomologyResult,
     PALFSpec,
@@ -160,15 +160,14 @@ def test_degenerate_determinant():
 
 
 def test_sphere_iff_point_homology_for_square_specs():
+    # the flag reads H1 = H2 = 0; the determinant criterion is the reference
     rng = random.Random(73)
     for _ in range(200):
         spec = random_spec(rng)
         sphere = boundary_is_homology_sphere(spec)
         point = homology(spec).is_point
-        if sphere:
-            assert point
-        if point and len(spec.cycles) == spec.fiber.rank:
-            assert sphere
+        d2 = boundary_matrix(spec)
+        assert sphere == point == (d2.nrows == d2.ncols and det(d2) in (1, -1))
 
 
 # -- fundamental group ----------------------------------------------------------

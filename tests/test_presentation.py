@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import random_presentation, random_word
-from palfkit.presentation import TRIVIAL, UNKNOWN, Presentation, simplify_presentation
-from palfkit.words import FreeGroup, Word
+from palfkit.presentation import TRIVIAL, UNKNOWN, Presentation, _eliminate, simplify_presentation
+from palfkit.words import FreeGroup, Word, substitute
 
 
 def pres(names, *relator_letter_lists):
@@ -101,3 +101,40 @@ def test_str_and_relator_validation():
     other = FreeGroup(1)
     with pytest.raises(ValueError):
         Presentation(p.group, [other.generator(0)])
+
+
+def _eliminate_two_pass(group, relators):
+    # the reference elimination: solve for the generator in the old group,
+    # substitute it there, then rename the remaining generators down
+    for ridx, rel in enumerate(relators):
+        counts = {}
+        for x in rel.letters:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+        single = sorted(g for g, c in counts.items() if c == 1)
+        if not single:
+            continue
+        target = single[0]
+        pos = next(i for i, x in enumerate(rel.letters) if abs(x) == target)
+        u = Word(group, rel.letters[:pos])
+        v = Word(group, rel.letters[pos + 1:])
+        solution = u.inverse() * v.inverse() if rel.letters[pos] > 0 else v * u
+        images = [solution if i == target - 1 else group.generator(i) for i in range(group.rank)]
+        new_group = FreeGroup(group.rank - 1, tuple(n for i, n in enumerate(group.names) if i != target - 1))
+        down = [Word(new_group, (i if i < target else i - 1,)) if i != target else new_group.identity
+                for i in range(1, group.rank + 1)]
+        return new_group, [
+            substitute(substitute(other, images), down, target=new_group)
+            for i, other in enumerate(relators) if i != ridx
+        ]
+    return None
+
+
+def test_elimination_matches_two_pass_substitution():
+    rng = random.Random(53)
+    eliminated = 0
+    while eliminated < 500:
+        p = random_presentation(rng, max_rank=5, max_relators=5, max_len=12)
+        relators = [r for r in p.relators if r]
+        expected = _eliminate_two_pass(p.group, relators)
+        assert _eliminate(p.group, relators) == expected, p
+        eliminated += expected is not None

@@ -6,8 +6,9 @@ import tracemalloc
 import pytest
 
 import palfkit.cli as cli
+import palfkit.grammar as grammar
 import palfkit.knots as knots
-from palfkit.grammar import MAX_NESTING, MAX_WORD_LETTERS
+from palfkit.grammar import MAX_HOLES, MAX_NESTING, MAX_WORD_LETTERS
 from palfkit.laurent import LaurentPoly
 from palfkit.lefschetz import PALFSpec, family_fiber, mazur_family
 from palfkit.report import (
@@ -250,3 +251,29 @@ def test_cli_subprocess_entrypoint():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["all_pass"] is True
+
+
+def test_cli_huge_surface_exit_two(tmp_path, capsys, monkeypatch):
+    real = grammar.PlanarSurface
+
+    def checked_first(holes):
+        # fail here, not after an unbounded allocation, if the limit is skipped
+        assert holes <= MAX_HOLES, "surface built before the hole limit was checked"
+        return real(holes)
+
+    monkeypatch.setattr(grammar, "PlanarSurface", checked_first)
+    header = "S(0,1000000000000)"
+    source = tmp_path / "huge.palf"
+    source.write_text(header + "; T std{1}\n")
+    for argv in (["twist", "--surface", header, "--expr", "T std{1}"], ["palf", "--input", str(source)]):
+        tracemalloc.start()
+        try:
+            status = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert peak < 1_000_000
+        err = capsys.readouterr().err
+        assert f"more than {MAX_HOLES} holes" in err
+        assert "Traceback" not in err

@@ -170,3 +170,51 @@ def test_trusted_results_match_validating_constructor():
             img = images[abs(x) - 1].letters
             naive.extend(img if x > 0 else _naive_inverse(img))
         assert substitute(a, images) == Word(target, naive)
+
+
+def _naive_cyclic_core(letters):
+    letters = list(letters)
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        letters = letters[1:-1]
+    return tuple(letters)
+
+
+def test_rotations_and_least_rotation_match_naive():
+    rng = random.Random(17)
+    groups = (F2, FreeGroup(3))
+    for _ in range(600):
+        group = rng.choice(groups)
+        w = random_word(rng, group, 14)
+        if rng.random() < 0.3:  # give it a conjugating shell to strip
+            w = w.conjugate(random_word(rng, group, 4))
+        core = _naive_cyclic_core(w.letters)
+        expected = [core[i:] + core[:i] for i in range(len(core))]
+        rotations = list(w.rotations())
+        assert [r.letters for r in rotations] == expected
+        for r in rotations:  # trusted words: valid and freely reduced
+            assert r.group == group and r == Word(group, r.letters)
+        assert w.least_rotation() == Word(group, min(expected, default=()))
+
+
+def _doubled_string_conjugate(u, v):
+    a = _naive_cyclic_core(u.letters)
+    b = _naive_cyclic_core(v.letters)
+    return len(a) == len(b) and (not a or any((b + b)[i:i + len(a)] == a for i in range(len(a))))
+
+
+def test_are_conjugate_matches_doubled_string_oracle():
+    rng = random.Random(18)
+    groups = (F2, FreeGroup(3))
+    related = 0
+    for _ in range(600):
+        group = rng.choice(groups)
+        u = random_word(rng, group, 8)
+        w = random_word(rng, group, 6)
+        v = rng.choice((u.conjugate(w), u.inverse().conjugate(w), random_word(rng, group, 8)))
+        expected = _doubled_string_conjugate(u, v)
+        assert are_conjugate(u, v) == expected == are_conjugate(v, u)
+        assert are_conjugate(u, u.conjugate(w))
+        related += expected
+    assert 200 < related < 600  # both outcomes are exercised
+    with pytest.raises(ValueError):
+        are_conjugate(X, FreeGroup(3).generator(0))
