@@ -20,6 +20,11 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
+# Largest accepted ``family --n-max``.  A report costs roughly O(N^3) letter
+# operations, so the ceiling bounds a run's work; 500 is the largest report
+# size the project sets performance targets for.
+MAX_FAMILY_N = 500
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -29,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_family = sub.add_parser("family", help="verify the family against its closed forms")
-    p_family.add_argument("--n-max", type=int, required=True, metavar="N")
+    p_family.add_argument("--n-max", type=int, required=True, metavar="N",
+                          help=f"check the members n = 1..N, 1 <= N <= {MAX_FAMILY_N}")
     p_family.add_argument("--json", action="store_true", help="emit the JSON report")
     p_family.add_argument("--output", type=Path, default=None, help="write the report to a file")
 
@@ -61,6 +67,9 @@ def _emit(text: str, output: Path | None) -> None:
 def _cmd_family(args) -> int:
     if args.n_max < 1:
         print("error: --n-max must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.n_max > MAX_FAMILY_N:
+        print(f"error: --n-max must be at most {MAX_FAMILY_N}", file=sys.stderr)
         return EXIT_USAGE
     report = build_family_report(args.n_max, family=mazur_family)
     _emit(report_to_json(report) if args.json else report_to_text(report), args.output)

@@ -124,6 +124,43 @@ class LaurentPoly:
             n >>= 1
         return result
 
+    def exact_quotient(self, divisor: LaurentPoly) -> LaurentPoly:
+        """The q with ``q * divisor == self``, by long division from the top term.
+
+        Raises ZeroDivisionError for a zero divisor and ArithmeticError when
+        ``divisor`` does not divide ``self`` in Z[t, t^-1].
+
+        >>> t = LaurentPoly.t()
+        >>> print((t**3 - 1).shift(-2).exact_quotient(t - 1))
+        t^-2 + t^-1 + 1
+        >>> (1 + t**2).exact_quotient(t - 1)
+        Traceback (most recent call last):
+        ...
+        ArithmeticError: -1 + t does not divide 1 + t^2
+        """
+        if not divisor.coeffs:
+            raise ZeroDivisionError("division by the zero Laurent polynomial")
+        if not self.coeffs:
+            return LaurentPoly()
+        low, d_low = self.min_exponent, divisor.min_exponent
+        d = [divisor[e] for e in range(d_low, divisor.max_exponent + 1)]
+        r = [self[e] for e in range(low, self.max_exponent + 1)]
+        m = len(d) - 1
+        lead = d[m]
+        q: dict[int, int] = {}
+        # quotient term k (exponent low - d_low + k) clears remainder position k + m
+        for k in range(len(r) - m - 1, -1, -1):
+            c, rem = divmod(r[k + m], lead)
+            if rem:
+                break
+            if c:
+                q[low - d_low + k] = c
+                for i, di in enumerate(d):
+                    r[k + i] -= c * di
+        if any(r):
+            raise ArithmeticError(f"{divisor} does not divide {self}")
+        return LaurentPoly(q)
+
     # -- structure ----------------------------------------------------------
 
     @property

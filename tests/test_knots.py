@@ -4,6 +4,7 @@ import pytest
 import sympy as sp
 
 from conftest import from_sympy, random_laurent, random_word, to_sympy
+from palfkit.groupring import abelianize, fox_derivative
 from palfkit.knots import (
     CalibrationError,
     NormalizedAlexander,
@@ -16,6 +17,8 @@ from palfkit.knots import (
     ribbon_presentation,
     unit_equivalent,
     unit_normalize,
+    _fox_row,
+    _laurent_det,
 )
 from palfkit.laurent import LaurentPoly
 from palfkit.presentation import Presentation
@@ -106,14 +109,68 @@ def test_column_choice_independence():
         if r.is_identity:
             continue
         # both 1x1 minors agree up to sign and a power of t
-        from palfkit.groupring import abelianize, fox_derivative
-
         m0 = abelianize(fox_derivative(r, 0), (1, 1))
         m1 = abelianize(fox_derivative(r, 1), (1, 1))
         assert unit_equivalent(m0, m1)
         # and the pipeline's internal check accepts the presentation
         alexander_from_presentation(Presentation(group, [r]), (1, 1))
         checked += 1
+
+
+def _cofactor_det(rows):
+    # first-row cofactor expansion: the reference for the Bareiss determinant
+    if not rows:
+        return LaurentPoly.one()
+    total = LaurentPoly.zero()
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            total += (-1) ** j * entry * _cofactor_det(minor)
+    return total
+
+
+def test_laurent_det_matches_cofactor_expansion():
+    rng = random.Random(85)
+    kinds = {"zero_first_pivot": 0, "equal_rows": 0, "sparse": 0}
+    for case in range(600):
+        n = case % 7
+        density = rng.choice((0.3, 0.7, 1.0))
+        rows = [
+            [random_laurent(rng, max_terms=3, span=3, coeff=4) if rng.random() < density else LaurentPoly.zero()
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n >= 2 and case % 3 == 0:
+            rows[0][0] = LaurentPoly.zero()  # Bareiss must swap in another pivot row
+            kinds["zero_first_pivot"] += 1
+        if n >= 2 and case % 5 == 0:
+            i, j = rng.sample(range(n), 2)
+            rows[j] = list(rows[i])  # singular
+            kinds["equal_rows"] += 1
+        kinds["sparse"] += density < 1
+        expected = _cofactor_det(rows)
+        assert _laurent_det(rows) == expected, rows
+        if case % 5 == 0 and n >= 2:
+            assert not expected
+    assert min(kinds.values()) >= 70
+
+
+def test_fox_row_matches_group_ring_path():
+    rng = random.Random(86)
+    for case in range(600):
+        rank = rng.randrange(1, 5)
+        group = FreeGroup(rank)
+        r = random_word(rng, group, 30)
+        weights = [rng.randrange(-3, 4) for _ in range(rank)]
+        if case % 4 == 0:
+            weights[rng.randrange(rank)] = 0
+        row = _fox_row(r.letters, weights, rank)
+        assert row == [abelianize(fox_derivative(r, j), weights) for j in range(rank)]
+        # abelianized fundamental identity: sum_j row[j] (t^w_j - 1) = t^(w . e) - 1
+        one = LaurentPoly.one()
+        total = sum((row[j] * (one.shift(weights[j]) - 1) for j in range(rank)), LaurentPoly.zero())
+        exponent = sum(w * e for w, e in zip(weights, r.exponent_vector()))
+        assert total == one.shift(exponent) - 1
 
 
 # -- Fox-Milnor composition ----------------------------------------------------

@@ -85,3 +85,47 @@ def test_printing_canonical():
 def test_zero_terms_dropped():
     assert LaurentPoly({3: 0, 1: 2}).coeffs == {1: 2}
     assert not (T - T)
+
+
+def test_exact_quotient_round_trip():
+    rng = random.Random(34)
+    checked = 0
+    while checked < 600:
+        q, d = random_laurent(rng), random_laurent(rng, max_terms=4, span=4, coeff=5)
+        if not d:
+            continue
+        assert (q * d).exact_quotient(d) == q
+        checked += 1
+
+
+def test_exact_quotient_rejects_inexact_and_zero():
+    with pytest.raises(ArithmeticError):
+        (1 + T ** 2).exact_quotient(1 - T)
+    with pytest.raises(ArithmeticError):
+        (3 * T).exact_quotient(2 * T)  # the coefficient does not divide
+    with pytest.raises(ArithmeticError):
+        T.exact_quotient(1 + T)  # the divisor spans more exponents
+    rng = random.Random(35)
+    s = sp.Symbol("t")
+    checked = inexact = 0
+    while checked < 300:
+        d = random_laurent(rng, max_terms=4, span=4, coeff=5)
+        if not d:
+            continue
+        # a multiple of d plus a small error term, which is often zero
+        p = random_laurent(rng) * d + random_laurent(rng, max_terms=2, span=8, coeff=2)
+        try:
+            q = p.exact_quotient(d)
+        except ArithmeticError:
+            # over Q, with the units t^k divided out, the quotient is not integral
+            quo, rem = sp.div(to_sympy(p.shift(-p.min_exponent)), to_sympy(d.shift(-d.min_exponent)), s)
+            assert rem != 0 or not all(c.is_integer for c in sp.Poly(quo, s).coeffs())
+            inexact += 1
+        else:
+            assert q * d == p
+        checked += 1
+    assert 100 < inexact < 300  # both outcomes are exercised
+    for p in (LaurentPoly.zero(), 1 + T):
+        with pytest.raises(ZeroDivisionError):
+            p.exact_quotient(LaurentPoly.zero())
+    assert LaurentPoly.zero().exact_quotient(1 + T) == LaurentPoly.zero()

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -155,6 +156,44 @@ def test_cli_parse_error_exit_two(capsys):
 
 def test_cli_usage_error_exit_two(capsys):
     assert cli.main(["family", "--n-max", "0"]) == 2
+
+
+def test_cli_family_n_max_ceiling(monkeypatch, capsys):
+    def must_not_run(n, family):
+        raise AssertionError("report built before --n-max was checked")
+
+    monkeypatch.setattr(cli, "build_family_report", must_not_run)
+    assert cli.main(["family", "--n-max", str(cli.MAX_FAMILY_N + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --n-max must be at most {cli.MAX_FAMILY_N}" in err
+    assert "Traceback" not in err
+
+    asked = []
+
+    def small_report(n, family):
+        asked.append(n)
+        return build_family_report(1, family=family)
+
+    monkeypatch.setattr(cli, "build_family_report", small_report)
+    assert cli.MAX_FAMILY_N == 500
+    assert cli.main(["family", "--n-max", "500"]) == 0
+    assert asked == [500]
+
+
+def test_cli_alexander_dense_presentation(capsys):
+    # k = 11 generators a0..a10 and 10 relators: relator i is a0 ... a10
+    # followed by the inverses of all 11 generators starting at a(i+1); 1,054
+    # characters.  A cofactor determinant takes k! steps per minor here.
+    k = 11
+    names = [f"a{i}" for i in range(k)]
+    relators = [" ".join(names + [f"{names[(i + 1 + j) % k]}^-1" for j in range(k)]) for i in range(k - 1)]
+    text = " ".join(names) + " | " + ", ".join(relators)
+    assert len(text) == 1054
+    start = time.perf_counter()
+    assert cli.main(["alexander", "--presentation", text]) == 0
+    assert time.perf_counter() - start < 10.0
+    t = LaurentPoly.t()
+    assert capsys.readouterr().out == f"{(1 - t) * (1 - t ** 9) * (1 - t ** 11) ** 8}\n"
 
 
 def test_cli_alexander(capsys):
