@@ -120,16 +120,16 @@ def fox_derivative(word: Word, generator: int) -> GroupRingElement:
     if not 0 <= generator < group.rank:
         raise ValueError(f"generator index {generator} out of range for rank {group.rank}")
     target = generator + 1
+    letters = word.letters
     terms: dict[Word, int] = {}
-    prefix: list[int] = []
-    for x in word.letters:
+    # each term is a prefix of the reduced word, so it is reduced and needs
+    # no validation; no two occurrences give the same prefix (a +g right
+    # after a -g would cancel), so every coefficient is +-1
+    for i, x in enumerate(letters):
         if x == target:
-            w = Word(group, prefix)
-            terms[w] = terms.get(w, 0) + 1
+            terms[Word._trusted(group, letters[:i])] = 1
         elif x == -target:
-            w = Word(group, prefix + [x])
-            terms[w] = terms.get(w, 0) - 1
-        prefix.append(x)
+            terms[Word._trusted(group, letters[:i + 1])] = -1
     return GroupRingElement(group, terms)
 
 
@@ -139,8 +139,11 @@ def abelianize(element: GroupRingElement | Word, weights: Sequence[int]) -> Laur
         element = GroupRingElement.from_word(element)
     if len(weights) != element.group.rank:
         raise ValueError("need one weight per generator")
+    image: dict[int, int] = {}
+    for i, weight in enumerate(weights):
+        image[i + 1], image[-i - 1] = weight, -weight
     out: dict[int, int] = {}
     for w, c in element.terms.items():
-        e = sum(weights[i] * s for i, s in enumerate(w.exponent_vector()))
+        e = sum(map(image.__getitem__, w.letters))
         out[e] = out.get(e, 0) + c
     return LaurentPoly(out)

@@ -2,13 +2,12 @@
 normalization, the ribbon product construction, and the Casson surgery
 formula.
 
-The abelianized Fox matrix is built one relator row at a time, in one pass
-over the relator's letters with a running weighted exponent (O(L) for a
-relator of length L), and its maximal minors are taken by fraction-free
-Bareiss elimination over Z[t, t^-1] with exact Laurent division (O(k^3)
-ring operations for a k x k minor).  ``groupring.fox_derivative`` and
-``groupring.abelianize`` compute the same entries through the group ring
-and serve as the reference in the tests.
+Each entry of the abelianized Fox matrix is
+``abelianize(fox_derivative(r, j), weights)``; the group-ring terms are
+prefixes of the reduced relator, taken as slices without re-validation.
+The maximal minors are taken by fraction-free Bareiss elimination over
+Z[t, t^-1] with exact Laurent division (O(k^3) ring operations for a
+k x k minor).
 
 The Casson invariant of a homology sphere is a plain integer here;
 ``casson_surgery`` implements lambda(M + (1/m) K) = lambda(M) + (m/2) Delta''(1)
@@ -20,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .groupring import abelianize, fox_derivative
 from .laurent import LaurentPoly
 from .presentation import Presentation
 from .words import FreeGroup
@@ -111,7 +111,10 @@ def alexander_from_presentation(p: Presentation, weights: Sequence[int]) -> Laur
         if s != 0:
             raise ValueError(f"relator {r} has nonzero weighted exponent sum {s}")
 
-    matrix = [_fox_row(r.letters, weights, rank) for r in p.relators]
+    matrix = [
+        [abelianize(fox_derivative(r, j), weights) for j in range(rank)]
+        for r in p.relators
+    ]
 
     minors = {}
     candidates = [j for j in range(rank) if weights[j] != 0]
@@ -125,28 +128,6 @@ def alexander_from_presentation(p: Presentation, weights: Sequence[int]) -> Laur
             if not unit_equivalent(values[0], other):
                 raise ArithmeticError("column-choice dependence in Alexander minor")
     return unit_normalize(minors[candidates[-1]])
-
-
-def _fox_row(letters: Sequence[int], weights: Sequence[int], rank: int) -> list[LaurentPoly]:
-    """The abelianized Fox derivatives of one relator with respect to every
-    generator, in one pass over its letters.
-
-    ``e`` is the weighted exponent sum of the prefix read so far.  By the
-    Fox rules a letter ``+g`` contributes t^e to column g, and a letter
-    ``-g`` contributes -t^(e - w_g), the image of the prefix times g^-1.
-    """
-    columns: list[dict[int, int]] = [{} for _ in range(rank)]
-    e = 0
-    for x in letters:
-        if x > 0:
-            column = columns[x - 1]
-            column[e] = column.get(e, 0) + 1
-            e += weights[x - 1]
-        else:
-            e -= weights[-x - 1]
-            column = columns[-x - 1]
-            column[e] = column.get(e, 0) - 1
-    return [LaurentPoly(column) for column in columns]
 
 
 def _laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:

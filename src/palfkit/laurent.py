@@ -142,22 +142,29 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if not self.coeffs:
             return LaurentPoly()
-        low, d_low = self.min_exponent, divisor.min_exponent
-        d = [divisor[e] for e in range(d_low, divisor.max_exponent + 1)]
-        r = [self[e] for e in range(low, self.max_exponent + 1)]
-        m = len(d) - 1
-        lead = d[m]
+        top = divisor.max_exponent
+        lead = divisor.coeffs[top]
+        lower = [(e, c) for e, c in divisor.coeffs.items() if e != top]
+        # an exact quotient has no term below t^floor
+        floor = self.min_exponent - divisor.min_exponent
+        r = dict(self.coeffs)
         q: dict[int, int] = {}
-        # quotient term k (exponent low - d_low + k) clears remainder position k + m
-        for k in range(len(r) - m - 1, -1, -1):
-            c, rem = divmod(r[k + m], lead)
+        # the quotient term t^k clears the remainder's term t^(k + top)
+        for k in range(self.max_exponent - top, floor - 1, -1):
+            rk = r.pop(k + top, 0)
+            if not rk:
+                continue
+            c, rem = divmod(rk, lead)
             if rem:
-                break
-            if c:
-                q[low - d_low + k] = c
-                for i, di in enumerate(d):
-                    r[k + i] -= c * di
-        if any(r):
+                raise ArithmeticError(f"{divisor} does not divide {self}")
+            q[k] = c
+            for e, d in lower:
+                x = r.get(e + k, 0) - c * d
+                if x:
+                    r[e + k] = x
+                else:
+                    del r[e + k]
+        if r:
             raise ArithmeticError(f"{divisor} does not divide {self}")
         return LaurentPoly(q)
 

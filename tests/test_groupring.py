@@ -59,6 +59,55 @@ def test_fundamental_identity():
         assert total == GroupRingElement.from_word(w) - GroupRingElement.one(F3)
 
 
+def _reference_derivative(w, g):
+    # the Fox rules read left to right, every prefix built as a validated word
+    terms = {}
+    prefix = []
+    for x in w.letters:
+        if abs(x) == g + 1:
+            term = w.group.word(prefix + [x] if x < 0 else prefix)
+            terms[term] = terms.get(term, 0) + (1 if x > 0 else -1)
+        prefix.append(x)
+    return GroupRingElement(w.group, terms)
+
+
+def _one_pass_row(letters, weights, rank):
+    # the abelianized Fox row with a running weighted exponent e: a letter +g
+    # adds t^e to column g, then e += w_g; a letter -g does e -= w_g, then
+    # subtracts t^e
+    row = [LaurentPoly.zero() for _ in range(rank)]
+    e = 0
+    for x in letters:
+        g = abs(x) - 1
+        if x > 0:
+            row[g] += LaurentPoly.one().shift(e)
+            e += weights[g]
+        else:
+            e -= weights[g]
+            row[g] -= LaurentPoly.one().shift(e)
+    return row
+
+
+def test_abelianized_fox_row_matches_one_pass_oracle():
+    rng = random.Random(86)
+    one = LaurentPoly.one()
+    for case in range(600):
+        rank = rng.randrange(1, 5)
+        group = FreeGroup(rank)
+        r = random_word(rng, group, 30)
+        weights = [rng.randrange(-3, 4) for _ in range(rank)]
+        if case % 4 == 0:
+            weights[rng.randrange(rank)] = 0
+        derivatives = [fox_derivative(r, j) for j in range(rank)]
+        assert derivatives == [_reference_derivative(r, j) for j in range(rank)]
+        row = [abelianize(d, weights) for d in derivatives]
+        assert row == _one_pass_row(r.letters, weights, rank)
+        # abelianized fundamental identity: sum_j row[j] (t^w_j - 1) = t^(w . e) - 1
+        total = sum((row[j] * (one.shift(weights[j]) - 1) for j in range(rank)), LaurentPoly.zero())
+        exponent = sum(w * e for w, e in zip(weights, r.exponent_vector()))
+        assert total == one.shift(exponent) - 1
+
+
 def test_abelianize_examples():
     assert abelianize(F2.word([1, 2, -1]), (1, 1)) == LaurentPoly.t()
     elem = ONE + GroupRingElement.from_word(X * Y) - GroupRingElement.from_word(F2.word([1, 2, 1, -2, -1]))

@@ -191,7 +191,9 @@ def test_cli_alexander_dense_presentation(capsys):
     assert len(text) == 1054
     start = time.perf_counter()
     assert cli.main(["alexander", "--presentation", text]) == 0
-    assert time.perf_counter() - start < 10.0
+    # a regression canary, not a speed target: the run takes well under a
+    # second, while a k! cofactor expansion ran for more than 120 s
+    assert time.perf_counter() - start < 60.0
     t = LaurentPoly.t()
     assert capsys.readouterr().out == f"{(1 - t) * (1 - t ** 9) * (1 - t ** 11) ** 8}\n"
 
