@@ -40,7 +40,7 @@ import re
 from contextlib import contextmanager
 
 from .laurent import LaurentPoly
-from .lefschetz import PALFSpec, family_twists
+from .lefschetz import PALFSpec, family_curves
 from .presentation import Presentation
 from .surface import (
     OVER,
@@ -419,7 +419,7 @@ def _parse_mapclass(parser: _Parser, surface: PlanarSurface) -> MappingClass:
             if surface.holes != 4:
                 raise parser.error(f"alias {tok.text!r} is defined on S(0,4) only")
             parser.advance()
-            base = family_twists(surface)[_ALIASES[tok.text]]
+            base = dehn_twist(family_curves(surface)[_ALIASES[tok.text]])
         elif tok.kind == "name" and tok.text == "T":
             parser.advance()
             base = dehn_twist(_parse_curve(parser, surface))

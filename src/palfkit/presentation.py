@@ -5,6 +5,13 @@ isomorphism class of the presented group (relator conjugation and
 inversion, multiplying one relator by another, and eliminating a
 generator through a relator that mentions it exactly once), so a
 ``Trivial`` verdict is always sound.  ``Unknown`` promises nothing.
+
+The product move searches length first: for each candidate ``ri * f``,
+with ``f`` a rotation of another relator's cyclic core or its inverse,
+the length of the cyclically reduced product is read off two cancellation
+counts (at the junction of ``ri`` and ``f``, then at the ends of what is
+left), with ``f`` indexed in place.  Only the product that is kept is
+built, so a candidate costs its cancellation, not its length.
 """
 
 from __future__ import annotations
@@ -121,18 +128,53 @@ def _eliminate(group: FreeGroup, relators: list[Word]) -> tuple[FreeGroup, list[
     return None
 
 
+def _product_length(left: tuple[int, ...], doubled: tuple[int, ...], shift: int) -> int:
+    """``len((left * f).cyclic_reduction())`` without building the product.
+
+    ``left`` is freely reduced and ``doubled`` is a cyclically reduced core
+    written twice, so ``f = doubled[shift:shift + m]`` is rotation ``shift``
+    of the core (``m`` its length) and is read in place.  The length is
+    ``len(left) + m`` less twice the junction cancellation ``k`` and twice
+    the cyclic cancellation ``c`` at the ends of ``left[:-k] + f[k:]``.
+    """
+    n, m = len(left), len(doubled) // 2
+    k, limit = 0, min(n, m)
+    while k < limit and left[n - 1 - k] == -doubled[shift + k]:
+        k += 1
+    keep, total = n - k, n + m - 2 * k
+    c = 0
+    while total - 2 * c >= 2:
+        front = left[c] if c < keep else doubled[shift + k + c - keep]
+        back = doubled[shift + m - 1 - c] if c < m - k else left[total - 1 - c]
+        if front != -back:
+            break
+        c += 1
+    return total - 2 * c
+
+
 def _shorten_by_product(relators: list[Word]) -> list[Word] | None:
-    """Replace some relator by a strictly shorter product with another."""
+    """Replace some relator by a strictly shorter product with another.
+
+    Candidates are tried in the order i, j != i, rotation s of rj's cyclic
+    core, then that rotation and its inverse; the inverse of rotation s is
+    rotation (m - s) % m of the inverted core.  Only the first product that
+    is shorter is built.
+    """
+    cores = []
+    for r in relators:
+        core = r.cyclic_reduction()
+        cores.append((len(core), core.letters * 2, core.inverse().letters * 2))
     for i, ri in enumerate(relators):
-        for j, rj in enumerate(relators):
+        left = ri.letters
+        for j, (m, forward, backward) in enumerate(cores):
             if i == j:
                 continue
-            for rotated in rj.rotations():
-                for factor in (rotated, rotated.inverse()):
-                    candidate = (ri * factor).cyclic_reduction()
-                    if len(candidate) < len(ri):
+            for s in range(m):
+                for doubled, shift in ((forward, s), (backward, (m - s) % m)):
+                    if _product_length(left, doubled, shift) < len(left):
+                        factor = Word._trusted(ri.group, doubled[shift:shift + m])
                         out = list(relators)
-                        out[i] = candidate
+                        out[i] = (ri * factor).cyclic_reduction()
                         return out
     return None
 

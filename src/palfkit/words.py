@@ -208,19 +208,6 @@ class Word:
             hi -= 1
         return Word._trusted(self.group, letters[lo:hi])
 
-    def rotations(self) -> Iterator[Word]:
-        """The cyclic permutations of the cyclic reduction, starting with
-        the cyclic reduction itself; a cyclically reduced word rotates to
-        reduced words, so none is re-validated.
-
-        >>> F = FreeGroup(2, ("x", "y"))
-        >>> [str(w) for w in F.word([2, 1, 1, -2, -2]).rotations()]
-        ['x^2 y^-1', 'x y^-1 x', 'y^-1 x^2']
-        """
-        core = self.cyclic_reduction().letters
-        for i in range(len(core)):
-            yield Word._trusted(self.group, core[i:] + core[:i])
-
     def least_rotation(self) -> Word:
         """The least rotation of the cyclic reduction, comparing letter
         tuples; two words are conjugate exactly when these agree.

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_laurent, random_presentation
+from palfkit import grammar, lefschetz
 from palfkit.grammar import (
     MAX_HOLES,
     MAX_NESTING,
@@ -174,6 +175,25 @@ def test_mapping_class_expressions():
     assert parse_mapping_class("(Tg Tb)^-1", s) == compose(t_g, t_b).inverse()
     assert parse_mapping_class("T std{1,2}", s) == t_b
     assert parse_mapping_class("(Tb)^0", s).is_identity
+
+
+def test_alias_builds_only_its_own_twist(monkeypatch):
+    s = PlanarSurface(4)
+    twists = family_twists(s)
+    for name, expected in zip(("Ta", "Tb", "Tg"), twists):
+        calls = []
+
+        def counting_twist(curve, _twist=grammar.dehn_twist):
+            calls.append(curve)
+            return _twist(curve)
+
+        for module in (grammar, lefschetz):  # every module that binds dehn_twist
+            monkeypatch.setattr(module, "dehn_twist", counting_twist)
+        phi = parse_mapping_class(name, s)
+        monkeypatch.undo()
+        assert len(calls) == 1, name
+        assert phi.images == expected.images and phi.inverse_images == expected.inverse_images
+        assert phi == expected
 
 
 def test_alias_needs_family_surface():

