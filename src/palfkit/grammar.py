@@ -40,7 +40,7 @@ import re
 from contextlib import contextmanager
 
 from .laurent import LaurentPoly
-from .lefschetz import PALFSpec, family_curves
+from .lefschetz import FAMILY_HOLE_RUNS, PALFSpec
 from .presentation import Presentation
 from .surface import (
     OVER,
@@ -292,7 +292,7 @@ def _parse_laurent_term(parser: _Parser) -> tuple[int, int]:
 
 # -- monodromies and mapping-class expressions --------------------------------
 
-_ALIASES = {"Ta": 0, "Tb": 1, "Tg": 2}
+_ALIASES = dict(zip(("Ta", "Tb", "Tg"), FAMILY_HOLE_RUNS))
 
 
 def parse_monodromy(text: str) -> PALFSpec:
@@ -419,7 +419,7 @@ def _parse_mapclass(parser: _Parser, surface: PlanarSurface) -> MappingClass:
             if surface.holes != 4:
                 raise parser.error(f"alias {tok.text!r} is defined on S(0,4) only")
             parser.advance()
-            base = dehn_twist(family_curves(surface)[_ALIASES[tok.text]])
+            base = dehn_twist(standard_curve(surface, _ALIASES[tok.text]))
         elif tok.kind == "name" and tok.text == "T":
             parser.advance()
             base = dehn_twist(_parse_curve(parser, surface))

@@ -11,10 +11,24 @@ Family conventions (calibrated; see README):
   * fiber S(0,4); alpha = std{1}, beta = std{1,2}, gamma = std{2,3};
   * ``compose(f, g)`` applies g first, and the n-th vanishing cycle is
     the image of gamma under the n-th power of phi = compose(t_gamma, t_beta);
-    its word is built by n applications of phi to the word of gamma, and
     its provenance is ``ImagePosition(phi, gamma, n)``, so phi^n itself is
     composed only when it is read: to twist about the cycle, or to apply a
     further map to it;
+  * the word of gamma_n (n >= 1) is the closed form, 14n - 4 letters,
+
+        W_n = D^n x2 B^n E C^(n-1) D^-(n-1),
+
+    with D = x1 x2 x3 (delta), B = x3^-1 x2^-1 x1^-1 x2, E = x3 x2^-1 and
+    C = x1 x2 x3 x2^-1.  Five word identities
+
+        phi(D) = D,              phi(x2) = D x2 B x2^-1,
+        phi(B) = x2 B x2^-1,     phi(E) = x2 E C D^-1,
+        phi(C) = D C D^-1
+
+    carry W_n to W_(n+1) under phi, and W_0 = x2 E C^-1 D = x2 x3 is
+    gamma, so W_n = phi^n(gamma) by induction.  ``mazur_family`` checks
+    the identities and the base case against the phi it builds on every
+    call, so the closed form is certified, not assumed;
   * the monodromy of ``(c1, ..., cm)`` composes as t_c1 . t_c2 ... t_cm
     (rightmost applied first).
 """
@@ -36,6 +50,7 @@ from .surface import (
     dehn_twist,
     standard_curve,
 )
+from .words import Word
 
 
 class PALFSpec:
@@ -129,6 +144,19 @@ def total_monodromy(spec: PALFSpec) -> MappingClass:
 
 # -- the standard family ----------------------------------------------------
 
+# Hole runs of the fixture curves alpha = std{1}, beta = std{1,2} and
+# gamma = std{2,3}, in that order.
+FAMILY_HOLE_RUNS = ((1,), (1, 2), (2, 3))
+
+# The words of the closed form of gamma_n (see the module docstring), as
+# letter tuples: letter k is x_k and -k its inverse.
+_D = (1, 2, 3)
+_X2 = (2,)
+_B = (-3, -2, -1, 2)
+_E = (3, -2)
+_C = (1, 2, 3, -2)
+
+
 def family_fiber() -> PlanarSurface:
     return PlanarSurface(4)
 
@@ -138,11 +166,7 @@ def family_curves(fiber: PlanarSurface | None = None) -> tuple[Curve, Curve, Cur
     s = fiber if fiber is not None else family_fiber()
     if s.holes != 4:
         raise ValueError("the standard family lives on S(0,4)")
-    return (
-        standard_curve(s, (1,)),
-        standard_curve(s, (1, 2)),
-        standard_curve(s, (2, 3)),
-    )
+    return tuple(standard_curve(s, holes) for holes in FAMILY_HOLE_RUNS)
 
 
 def family_twists(fiber: PlanarSurface | None = None) -> tuple[MappingClass, MappingClass, MappingClass]:
@@ -151,22 +175,50 @@ def family_twists(fiber: PlanarSurface | None = None) -> tuple[MappingClass, Map
     return dehn_twist(alpha), dehn_twist(beta), dehn_twist(gamma)
 
 
+def _closed_form_word(phi: MappingClass, gamma: Curve, n: int) -> Word:
+    """The word of phi^n(gamma) as W_n = D^n x2 B^n E C^(n-1) D^-(n-1).
+
+    Raises ``ArithmeticError`` unless ``phi`` satisfies the five identities
+    of the module docstring and gamma's word is W_0 = x2 E C^-1 D, which
+    together prove W_n = phi^n(gamma) for every n >= 0.
+    """
+    group = gamma.surface.group
+    d, x2, b, e, c = (group.word(letters) for letters in (_D, _X2, _B, _E, _C))
+    identities = (
+        (d, d),
+        (x2, d * x2 * b * x2.inverse()),
+        (b, b.conjugate(x2)),
+        (e, x2 * e * c * d.inverse()),
+        (c, c.conjugate(d)),
+    )
+    if any(phi(w) != image for w, image in identities) or gamma.word != x2 * e * c.inverse() * d:
+        raise ArithmeticError("phi and gamma do not satisfy the identities behind the closed form of gamma_n")
+    if n == 0:
+        return gamma.word
+    return group.word(
+        d.letters * n + x2.letters + b.letters * n + e.letters
+        + c.letters * (n - 1) + d.inverse().letters * (n - 1)
+    )
+
+
 def mazur_family(n: int) -> PALFSpec:
     """The n-th member of the family of Mazur-type fillings.
 
     Vanishing cycles are (alpha, beta, gamma_n) on the 4-holed sphere,
     where gamma_n is the image of gamma under the n-th power of
-    ``phi = compose(t_gamma, t_beta)``.  The word of gamma_n comes from
-    applying phi to the word of gamma n times, at O(|gamma_k|) per step;
-    phi^n is not composed here (see ``ImagePosition.composite``).
-    ``n = 0`` (the untwisted gamma) is allowed as a degenerate diagnostic.
+    ``phi = compose(t_gamma, t_beta)``.  The word of gamma_n is the closed
+    form W_n = D^n x2 B^n E C^(n-1) D^-(n-1) of the module docstring, built
+    in O(n) letters once the five identities phi(D) = D,
+    phi(x2) = D x2 B x2^-1, phi(B) = x2 B x2^-1, phi(E) = x2 E C D^-1 and
+    phi(C) = D C D^-1 have been checked against this phi (``ArithmeticError``
+    if one fails).  phi^n is not composed here (see
+    ``ImagePosition.composite``).  ``n = 0`` (the untwisted gamma) is allowed
+    as a degenerate diagnostic.
     """
     if n < 0:
         raise ValueError("family index must be nonnegative")
     s = family_fiber()
     alpha, beta, gamma = family_curves(s)
     phi = compose(dehn_twist(gamma), dehn_twist(beta))
-    word = gamma.word
-    for _ in range(n):
-        word = phi(word)
+    word = _closed_form_word(phi, gamma, n)
     return PALFSpec(s, (alpha, beta, Curve(s, word, ImagePosition(phi, gamma, n))))

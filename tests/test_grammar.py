@@ -182,16 +182,23 @@ def test_alias_builds_only_its_own_twist(monkeypatch):
     twists = family_twists(s)
     for name, expected in zip(("Ta", "Tb", "Tg"), twists):
         calls = []
+        curves = []
 
         def counting_twist(curve, _twist=grammar.dehn_twist):
             calls.append(curve)
             return _twist(curve)
 
-        for module in (grammar, lefschetz):  # every module that binds dehn_twist
+        def counting_curve(*args, _curve=grammar.standard_curve):
+            curves.append(args)
+            return _curve(*args)
+
+        for module in (grammar, lefschetz):  # every module that binds them
             monkeypatch.setattr(module, "dehn_twist", counting_twist)
+            monkeypatch.setattr(module, "standard_curve", counting_curve)
         phi = parse_mapping_class(name, s)
         monkeypatch.undo()
         assert len(calls) == 1, name
+        assert len(curves) == 1, name
         assert phi.images == expected.images and phi.inverse_images == expected.inverse_images
         assert phi == expected
 

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from conftest import minor_gcd_cokernel, random_twist_product, random_word
+from palfkit import lefschetz
 from palfkit.intmatrix import IntMatrix, cokernel_invariants, det
 from palfkit.lefschetz import (
     HomologyResult,
@@ -20,6 +22,7 @@ from palfkit.lefschetz import (
 )
 from palfkit.surface import (
     Curve,
+    ImagePosition,
     MappingClass,
     PlanarSurface,
     apply,
@@ -268,14 +271,61 @@ def _family_phi() -> MappingClass:
 
 
 def test_family_cycle_matches_binary_powering():
-    # mazur_family applies phi to the word n times; binary powering is an
-    # independent oracle for the same word
+    # mazur_family builds the word from its closed form; binary powering is
+    # an independent oracle for the same word
     phi = _family_phi()
     gamma = family_curves()[2]
     for n in range(41):
         word = mazur_family(n).cycles[2].word
         assert word == apply(power(phi, n), gamma).word
         assert len(word) == (14 * n - 4 if n else 2)
+
+
+def test_family_closed_form_matches_iterated_phi():
+    # oracle: phi applied to gamma's word n times, in one incremental pass;
+    # the whole spec is compared for n <= 60
+    phi = _family_phi()
+    s = family_fiber()
+    alpha, beta, gamma = family_curves(s)
+    word = gamma.word
+    for n in range(201):
+        spec = mazur_family(n)
+        assert spec.cycles[2].word == word, n
+        if n <= 60:
+            iterated = PALFSpec(s, (alpha, beta, Curve(s, word, ImagePosition(phi, gamma, n))))
+            assert spec == iterated
+            assert spec.cycles[2].homology_class == iterated.cycles[2].homology_class
+            prov = spec.cycles[2].provenance
+            assert (prov.phi, prov.base, prov.exponent) == (phi, gamma, n)
+        word = phi(word)
+
+
+def test_family_closed_form_is_linear_in_n():
+    # 14n - 4 letters at n = 480 in well under the cost of iterating phi
+    start = time.perf_counter()
+    word = mazur_family(480).cycles[2].word
+    assert time.perf_counter() - start < 0.5
+    assert len(word) == 14 * 480 - 4
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        # phi in the wrong order, Tb Tg instead of Tg Tb
+        ("compose", lambda original: lambda f, g: original(g, f)),
+        # one of the five words off by a letter
+        ("_B", lambda original: original[:-1]),
+        ("_C", lambda original: original + (1,)),
+        # a gamma that is not W_0
+        ("FAMILY_HOLE_RUNS", lambda original: original[:2] + ((3, 4),)),
+    ],
+    ids=["phi-order", "word-B", "word-C", "gamma"],
+)
+def test_family_closed_form_refuses_a_broken_identity(monkeypatch, name, corrupt):
+    monkeypatch.setattr(lefschetz, name, corrupt(getattr(lefschetz, name)))
+    for n in (0, 1, 5):
+        with pytest.raises(ArithmeticError):
+            mazur_family(n)
 
 
 def test_family_cycle_provenance_is_phi_to_the_n():

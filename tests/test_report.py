@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -146,6 +147,28 @@ def test_cli_family_json_and_output(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert doc["all_pass"] is True
     assert doc["conventions"]["surface"] == "S(0,4)"
+
+
+# sha256 of `family --n-max N` stdout, text and --json: any change to a row,
+# the conventions block or the rendering changes these bytes
+FAMILY_STDOUT_SHA256 = {
+    (1, False): "17226ad7d450eb92a9cfdc940a42b6f2951273c314781d48184bd99a1920a439",
+    (1, True): "5048e54473da1baea281a291161ccc0fd0a0cf59039607fffcec6b61f92d6a2e",
+    (7, False): "cfbb9e7a33c0f47d4e16e766e890096f4864290bc8652aec5e06db943b46088e",
+    (7, True): "43196fde944c31e8782a8efca0ece9981ec65324667be2f1583f151364599445",
+    (20, False): "1f8342300c254d499093a07fe7e9734f8492eff1cd25b52a8f7855b93fed6cc8",
+    (20, True): "a87004d11b6d2aed1d33178f9c5b53e02da4c8480d05c87da7aa1326f5cf39b2",
+    (40, False): "06b1955fbb38c5e53499b23370f02f7027e75da1d9c906a6ed605175c8ab73fb",
+    (40, True): "016bfba67d6a75431d543e0f9259d658ac9c1fd6a3344c8853332a463e226d50",
+}
+
+
+@pytest.mark.parametrize("n_max, as_json", sorted(FAMILY_STDOUT_SHA256))
+def test_cli_family_output_pinned(capsys, n_max, as_json):
+    fmt = ["--json"] if as_json else []
+    assert cli.main(["family", "--n-max", str(n_max)] + fmt) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_STDOUT_SHA256[n_max, as_json]
 
 
 def test_cli_parse_error_exit_two(capsys):
