@@ -5,9 +5,9 @@ formula.
 Each entry of the abelianized Fox matrix is
 ``abelianize(fox_derivative(r, j), weights)``; the group-ring terms are
 prefixes of the reduced relator, taken as slices without re-validation.
-The maximal minors are taken by fraction-free Bareiss elimination over
-Z[t, t^-1] with exact Laurent division (O(k^3) ring operations for a
-k x k minor).
+All k maximal minors of the (k-1) x k matrix come from one
+fraction-free Gauss-Jordan pass over Z[t, t^-1] with exact Laurent
+division (O(k^3) ring operations for all of them together).
 
 The Casson invariant of a homology sphere is a plain integer here;
 ``casson_surgery`` implements lambda(M + (1/m) K) = lambda(M) + (m/2) Delta''(1)
@@ -116,46 +116,61 @@ def alexander_from_presentation(p: Presentation, weights: Sequence[int]) -> Laur
         for r in p.relators
     ]
 
-    minors = {}
+    minors = maximal_minors(matrix)
     candidates = [j for j in range(rank) if weights[j] != 0]
-    for j in candidates:
-        sub = [[row[k] for k in range(rank) if k != j] for row in matrix]
-        minors[j] = _laurent_det(sub)
     if all(w == 1 for w in weights):
-        # all candidate minors must agree up to units (Fox fundamental identity)
-        values = list(minors.values())
-        for other in values[1:]:
-            if not unit_equivalent(values[0], other):
-                raise ArithmeticError("column-choice dependence in Alexander minor")
+        # all k minors must agree up to units (Fox fundamental identity)
+        if not all(unit_equivalent(minors[0], m) for m in minors[1:]):
+            raise ArithmeticError("column-choice dependence in Alexander minor")
     return unit_normalize(minors[candidates[-1]])
 
 
-def _laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant over Z[t, t^-1] by fraction-free Bareiss elimination, the
-    scheme of :func:`palfkit.intmatrix.det`: every division is exact."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    a = [list(r) for r in rows]
+def maximal_minors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
+    """Every maximal minor of an n x (n + 1) matrix over Z[t, t^-1]: entry c
+    is the determinant of ``rows`` without column c, sign included.
+
+    One fraction-free Gauss-Jordan pass (Bareiss's update, applied above the
+    pivot as well as below, every division exact) brings the matrix, its
+    columns permuted by ``perm``, to the form [d*I | v].  Then
+    x = (-v, d) spans the kernel, and by Cramer's rule the minor without
+    column perm[q] is sgn(perm) (-1)^(n + perm[q]) x_q.  The pivot of step p
+    is the first nonzero entry of row p among the columns not yet used; if
+    there is none, row p depends on the rows above it and every minor is 0.
+
+    >>> t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
+    >>> [str(m) for m in maximal_minors([[zero, one, t], [one, t, zero]])]
+    ['-t^2', '-t', '-1']
+    """
+    n, width = len(rows), len(rows) + 1
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"need an n x (n + 1) matrix, got {n} rows of lengths {sorted({len(r) for r in rows})}")
+    a = [list(row) for row in rows]
+    perm = list(range(width))
     sign = 1
     prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        pivot, pivot_row = a[k][k], a[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            lead = row[k]
-            for j in range(k + 1, n):
+    for p in range(n):
+        pivot_row = a[p]
+        q = next((q for q in range(p, width) if pivot_row[q]), None)
+        if q is None:
+            return [LaurentPoly.zero()] * width
+        if q != p:
+            for row in a:
+                row[p], row[q] = row[q], row[p]
+            perm[p], perm[q] = perm[q], perm[p]
+            sign = -sign
+        pivot = pivot_row[p]
+        for i, row in enumerate(a):
+            if i == p:
+                continue
+            lead = row[p]
+            for j in range(p + 1, width):
                 row[j] = (row[j] * pivot - lead * pivot_row[j]).exact_quotient(prev)
         prev = pivot
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+    kernel = [-row[n] for row in a] + [prev]
+    minors = [LaurentPoly.zero()] * width
+    for q, c in enumerate(perm):
+        minors[c] = kernel[q] if sign * (-1) ** (n + c) > 0 else -kernel[q]
+    return minors
 
 
 def fox_milnor_compose(f: LaurentPoly) -> NormalizedAlexander:
@@ -193,7 +208,7 @@ def closed_form_factor(n: int) -> LaurentPoly:
 
 def closed_form_delta(n: int) -> LaurentPoly:
     """Delta coefficients (-1)^i (2n + 1 - |i|) for |i| <= 2n."""
-    return LaurentPoly({i: (-1) ** i * (2 * n + 1 - abs(i)) for i in range(-2 * n, 2 * n + 1)})
+    return LaurentPoly({i: (-1) ** abs(i) * (2 * n + 1 - abs(i)) for i in range(-2 * n, 2 * n + 1)})
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,24 @@
 """Integer Laurent polynomials in one variable t, exact arithmetic.
 
 Stored sparsely as exponent -> nonzero coefficient.  Canonical printing
-lists terms in ascending exponent order, e.g. ``t^-1 - 2 + t``.
+lists terms in ascending exponent order, e.g. ``t^-1 - 2 + t``.  The
+constructor takes exponents and coefficients that are exactly integers
+and raises TypeError on any other value; ring operations build their
+results without that check.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Mapping
+
+
+def _exact_int(x) -> int:
+    """``x`` as an int, when it is one exactly; TypeError otherwise (so
+    0.5 or 1.9 is rejected, never truncated)."""
+    n = int(x)
+    if n != x:
+        raise TypeError(f"{x!r} is not an integer")
+    return n
 
 
 class LaurentPoly:
@@ -25,9 +37,18 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
+                c = _exact_int(c)
                 if c:
-                    clean[int(e)] = int(c)
+                    clean[_exact_int(e)] = c
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, int]) -> LaurentPoly:
+        """The polynomial of ``coeffs``, whose keys and values are already
+        ints (results of ring operations); only zero terms are dropped."""
+        p = object.__new__(cls)
+        p.coeffs = {e: c for e, c in coeffs.items() if c}
+        return p
 
     # -- constructors ----------------------------------------------------
 
@@ -62,7 +83,13 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        # equal to an int c when constant, so it must hash like c
+        coeffs = self.coeffs
+        if not coeffs:
+            return hash(0)
+        if len(coeffs) == 1 and 0 in coeffs:
+            return hash(coeffs[0])
+        return hash(frozenset(coeffs.items()))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
@@ -83,21 +110,27 @@ class LaurentPoly:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._trusted({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) - c
+        return LaurentPoly._trusted(out)
 
     def __rsub__(self, other: int) -> LaurentPoly:
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         other = self._coerce(other)
@@ -108,7 +141,7 @@ class LaurentPoly:
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -166,7 +199,7 @@ class LaurentPoly:
                     del r[e + k]
         if r:
             raise ArithmeticError(f"{divisor} does not divide {self}")
-        return LaurentPoly(q)
+        return LaurentPoly._trusted(q)
 
     # -- structure ----------------------------------------------------------
 
@@ -184,11 +217,12 @@ class LaurentPoly:
 
     def reciprocal(self) -> LaurentPoly:
         """The substitution t -> t^-1."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return LaurentPoly._trusted({-e: c for e, c in self.coeffs.items()})
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        k = _exact_int(k)
+        return LaurentPoly._trusted({e + k: c for e, c in self.coeffs.items()})
 
     def is_symmetric(self) -> bool:
         """True when p(t) = p(t^-1) term-exactly."""

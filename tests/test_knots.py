@@ -4,6 +4,8 @@ import pytest
 import sympy as sp
 
 from conftest import from_sympy, random_laurent, random_word, to_sympy
+import palfkit.knots as knots
+from palfkit.groupring import abelianize
 from palfkit.knots import (
     CalibrationError,
     NormalizedAlexander,
@@ -13,10 +15,10 @@ from palfkit.knots import (
     closed_form_factor,
     family_invariants,
     fox_milnor_compose,
+    maximal_minors,
     ribbon_presentation,
     unit_equivalent,
     unit_normalize,
-    _laurent_det,
 )
 from palfkit.laurent import LaurentPoly
 from palfkit.presentation import Presentation
@@ -117,6 +119,34 @@ def test_column_choice_independence():
         checked += 1
 
 
+def _laurent_det(rows):
+    # fraction-free Bareiss elimination, one determinant at a time: the
+    # oracle for maximal_minors (every division is exact)
+    n = len(rows)
+    if n == 0:
+        return LaurentPoly.one()
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = LaurentPoly.one()
+    for k in range(n - 1):
+        if not a[k][k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return LaurentPoly.zero()
+        pivot, pivot_row = a[k][k], a[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]).exact_quotient(prev)
+        prev = pivot
+    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+
 def _cofactor_det(rows):
     # first-row cofactor expansion: the reference for the Bareiss determinant
     if not rows:
@@ -153,6 +183,52 @@ def test_laurent_det_matches_cofactor_expansion():
         if case % 5 == 0 and n >= 2:
             assert not expected
     assert min(kinds.values()) >= 70
+
+
+def test_maximal_minors_match_per_column_bareiss():
+    rng = random.Random(86)
+    kinds = {"empty": 0, "dependent_rows": 0, "zero_column": 0, "last_column_pivot": 0, "zero_leading_block": 0}
+    nonzero = 0
+    for case in range(700):
+        k = 1 + case % 7
+        n = k - 1
+        density = rng.choice((0.3, 0.7, 1.0))
+        rows = [
+            [random_laurent(rng, max_terms=3, span=3, coeff=4) if rng.random() < density else LaurentPoly.zero()
+             for _ in range(k)]
+            for _ in range(n)
+        ]
+        kind = case // 7 % 5
+        if n == 0:
+            kinds["empty"] += 1
+        elif kind == 1 and n >= 2:
+            i, j = rng.sample(range(n), 2)
+            factor = random_laurent(rng, max_terms=2, span=2, coeff=3)
+            rows[j] = [factor * x for x in rows[i]]  # rank below n
+            kinds["dependent_rows"] += 1
+        elif kind == 2:
+            c = rng.randrange(k)
+            for row in rows:
+                row[c] = LaurentPoly.zero()
+            kinds["zero_column"] += 1
+        elif kind == 3:
+            # the first pivot can only come from the last column
+            rows[0] = [LaurentPoly.zero()] * n + [random_laurent(rng, max_terms=3, span=3, coeff=4) or T]
+            kinds["last_column_pivot"] += 1
+        elif kind == 4:
+            for row in rows:
+                row[:n] = [LaurentPoly.zero()] * n
+            kinds["zero_leading_block"] += 1
+        expected = [_laurent_det([row[:c] + row[c + 1:] for row in rows]) for c in range(k)]
+        assert maximal_minors(rows) == expected, rows
+        nonzero += any(expected)
+    assert min(kinds.values()) >= 60
+    assert 300 < nonzero < 700  # full-rank and rank-deficient matrices both occur
+
+
+def test_maximal_minors_reject_a_non_maximal_shape():
+    with pytest.raises(ValueError):
+        maximal_minors([[T, T]] * 2)
 
 
 # -- Fox-Milnor composition ----------------------------------------------------
@@ -319,3 +395,21 @@ def test_closed_forms_match_each_other():
         product = f * f.reciprocal()
         assert product == closed_form_delta(n)
         assert closed_form_delta(n).second_derivative_at_one() == 2 * n * (n + 1)
+
+
+def test_column_choice_guard_fires_on_a_corrupted_fox_matrix(monkeypatch):
+    # a rank-3 presentation whose three maximal minors agree up to units; one
+    # corrupted cell of its Fox matrix makes them disagree
+    F3 = FreeGroup(3, ("a", "b", "c"))
+    p = Presentation(F3, [F3.word([1, 2, -1, -3]), F3.word([2, 3, 3, -2, -1, -1])])
+    assert alexander_from_presentation(p, (1, 1, 1)) == 1 + T ** 3
+    cells = []
+
+    def corrupted(element, weights):
+        cells.append(abelianize(element, weights))
+        return cells[-1] + 1 if len(cells) == 1 else cells[-1]
+
+    monkeypatch.setattr(knots, "abelianize", corrupted)
+    with pytest.raises(ArithmeticError, match="column-choice dependence"):
+        alexander_from_presentation(p, (1, 1, 1))
+    assert len(cells) == 6

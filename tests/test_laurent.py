@@ -24,6 +24,9 @@ def test_ring_ops_against_sympy():
 def test_integer_coercion():
     assert 1 - T + T ** 2 == LaurentPoly({0: 1, 1: -1, 2: 1})
     assert (T - 1) * (T - 1) == T ** 2 - 2 * T + 1
+    for op in (lambda p: 1.5 - p, lambda p: p - 1.5, lambda p: 1.5 + p, lambda p: 1.5 * p):
+        with pytest.raises(TypeError):
+            op(T)
 
 
 def test_second_derivative_examples():
@@ -129,3 +132,46 @@ def test_exact_quotient_rejects_inexact_and_zero():
         with pytest.raises(ZeroDivisionError):
             p.exact_quotient(LaurentPoly.zero())
     assert LaurentPoly.zero().exact_quotient(1 + T) == LaurentPoly.zero()
+
+
+def test_constant_hashes_like_its_integer():
+    three = LaurentPoly({0: 3})
+    assert three == 3 and hash(three) == hash(3)
+    assert 3 in {three} and three in {3}
+    assert {3: "a"}.get(three) == "a"
+    assert {three: "a"}[3] == "a"
+    assert hash(LaurentPoly.zero()) == hash(0) and 0 in {LaurentPoly.zero()}
+    assert {-1: "m"}[LaurentPoly({0: -1})] == "m"  # hash(-1) is special in CPython
+    assert {1 - T + T ** 2: "f"}[LaurentPoly({2: 1, 1: -1, 0: 1})] == "f"
+    assert len({T, T.shift(0), LaurentPoly({1: 1}), 1, LaurentPoly.one()}) == 2
+
+
+def test_constructor_rejects_non_integers():
+    for bad in ({0.5: 1}, {0: 1.9}, {0: "1"}, {0: sp.Rational(1, 2)}):
+        with pytest.raises(TypeError):
+            LaurentPoly(bad)
+    with pytest.raises(TypeError):
+        T.shift(0.5)
+    # exact integers of other types are kept as ints
+    for good in ({1: True}, {sp.Integer(1): sp.Integer(1)}, {1.0: 1.0}):
+        p = LaurentPoly(good)
+        assert p == T and all(type(e) is int and type(c) is int for e, c in p.coeffs.items())
+
+
+def test_ring_results_are_canonical():
+    rng = random.Random(36)
+    cancelling = 0
+    for case in range(1000):
+        p = random_laurent(rng)
+        q = random_laurent(rng)
+        if case % 3 == 0:
+            q = random_laurent(rng, max_terms=2) - p  # p + q cancels most terms
+        results = [p + q, p - q, p * q, -p, p.shift(rng.randrange(-4, 5)), p.reciprocal()]
+        if q:
+            results.append((p * q).exact_quotient(q))
+        for r in results:
+            assert 0 not in r.coeffs.values()
+            assert all(type(e) is int and type(c) is int for e, c in r.coeffs.items())
+            assert r == LaurentPoly(dict(r.coeffs))
+        cancelling += any(p[e] + q[e] == 0 for e in p.coeffs if e in q.coeffs)
+    assert cancelling > 250  # sums with terms that cancel to zero occur

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +171,48 @@ def test_cli_family_output_pinned(capsys, n_max, as_json):
     assert cli.main(["family", "--n-max", str(n_max)] + fmt) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_STDOUT_SHA256[n_max, as_json]
+
+
+ALEXANDER_DENSE = Path(__file__).parent / "data" / "alexander_dense.txt"
+ALEXANDER_STDOUT_SHA256 = "56fe271d4a5416bf9f6cdd936c8dd14c793a770780663121aca3734b5a13e0a9"
+
+
+def _alexander_pool_texts(seed):
+    # the perfbench alexander pool for one seed, rebuilt here in pool order
+    # before its final shuffle: per group, three ribbon presentations (one n
+    # from each third of 1..120), then random zero-exponent-sum presentations
+    rng = random.Random(seed)
+    lengths = {3: 40, 4: 28, 5: 20, 6: 14, 7: 10}
+    texts = []
+    for _ in range(40):
+        for lo, hi in ((1, 40), (41, 80), (81, 120)):
+            n = rng.randint(lo, hi)
+            texts.append(f"x y | (x y)^{n} x (x y)^-{n} y^-1")
+        for rank in (3, 4, 5, 6, 7, 3, 5):
+            relators = []
+            for _ in range(rank - 1):
+                signs = [1] * (lengths[rank] // 2) + [-1] * (lengths[rank] // 2)
+                rng.shuffle(signs)
+                letters = []
+                for s in signs:
+                    choices = [g for g in range(1, rank + 1) if not letters or letters[-1] != -s * g]
+                    letters.append(s * rng.choice(choices))
+                relators.append(" ".join("abcdefg"[abs(x) - 1] + ("" if x > 0 else "^-1") for x in letters))
+            texts.append(f"{' '.join('abcdefg'[:rank])} | {', '.join(relators)}")
+    return texts
+
+
+def test_cli_alexander_output_pinned(capsys):
+    dense = [line.split("\t") for line in ALEXANDER_DENSE.read_text().splitlines() if not line.startswith("#")]
+    assert [int(k) for k, _, _ in dense] == [7, 10, 12, 14]
+    texts = [text for seed in (1, 2, 3) for text in _alexander_pool_texts(seed)]
+    assert len(texts) == 1200
+    outputs = []
+    for text in texts + [text for _, text, _ in dense]:
+        assert cli.main(["alexander", "--presentation", text]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[len(texts):] == [expected + "\n" for _, _, expected in dense]
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == ALEXANDER_STDOUT_SHA256
 
 
 def test_cli_parse_error_exit_two(capsys):
