@@ -1,5 +1,9 @@
 """Command-line interface.
 
+Each call builds the parser anew, with only the subcommand named by its first
+argument; help, no arguments and an unknown name get the full parser.  The
+messages and exit status are those of the full parser either way.
+
 Exit status: 0 on success, 1 when a family verification fails, 2 on
 usage or parse errors.
 """
@@ -10,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .grammar import ParseError, parse_laurent, parse_mapping_class, parse_monodromy, parse_presentation, parse_surface
 from .knots import NormalizedAlexander, alexander_from_presentation, casson_surgery
@@ -29,37 +34,6 @@ EXIT_USAGE = 2
 # ceiling bounds a run's work; 500 is the largest report size the project
 # sets performance targets for.
 MAX_FAMILY_N = 500
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="palfkit",
-        description="Exact invariants of planar Lefschetz fibrations and the standard Mazur-type family.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_family = sub.add_parser("family", help="verify the family against its closed forms")
-    p_family.add_argument("--n-max", type=int, required=True, metavar="N",
-                          help=f"check the members n = 1..N, 1 <= N <= {MAX_FAMILY_N}")
-    p_family.add_argument("--json", action="store_true", help="emit the JSON report")
-    p_family.add_argument("--output", type=Path, default=None, help="write the report to a file")
-
-    p_palf = sub.add_parser("palf", help="invariants of a monodromy description")
-    p_palf.add_argument("--input", type=Path, required=True, metavar="FILE")
-    p_palf.add_argument("--json", action="store_true")
-
-    p_alex = sub.add_parser("alexander", help="Alexander polynomial of a deficiency-one presentation")
-    p_alex.add_argument("--presentation", required=True, metavar="STR")
-
-    p_casson = sub.add_parser("casson", help="Casson invariant after 1/m surgery")
-    p_casson.add_argument("--delta", required=True, metavar="STR", help="normalized Alexander polynomial")
-    p_casson.add_argument("--m", type=int, required=True)
-    p_casson.add_argument("--lambda0", type=int, default=0, help="Casson invariant of the starting sphere")
-
-    p_twist = sub.add_parser("twist", help="evaluate a mapping-class expression")
-    p_twist.add_argument("--surface", required=True, metavar="S(0,r)")
-    p_twist.add_argument("--expr", required=True, metavar="EXPR")
-    return parser
 
 
 def _emit(text: str, output: Path | None) -> None:
@@ -116,20 +90,61 @@ def _cmd_twist(args) -> int:
     return EXIT_OK
 
 
+# Subcommand name -> (handler, help, arguments as (flag, keyword arguments)),
+# in the order the full parser lists them.
 _COMMANDS = {
-    "family": _cmd_family,
-    "palf": _cmd_palf,
-    "alexander": _cmd_alexander,
-    "casson": _cmd_casson,
-    "twist": _cmd_twist,
+    "family": (_cmd_family, "verify the family against its closed forms", (
+        ("--n-max", dict(type=int, required=True, metavar="N",
+                         help=f"check the members n = 1..N, 1 <= N <= {MAX_FAMILY_N}")),
+        ("--json", dict(action="store_true", help="emit the JSON report")),
+        ("--output", dict(type=Path, default=None, help="write the report to a file")),
+    )),
+    "palf": (_cmd_palf, "invariants of a monodromy description", (
+        ("--input", dict(type=Path, required=True, metavar="FILE")),
+        ("--json", dict(action="store_true")),
+    )),
+    "alexander": (_cmd_alexander, "Alexander polynomial of a deficiency-one presentation", (
+        ("--presentation", dict(required=True, metavar="STR")),
+    )),
+    "casson": (_cmd_casson, "Casson invariant after 1/m surgery", (
+        ("--delta", dict(required=True, metavar="STR", help="normalized Alexander polynomial")),
+        ("--m", dict(type=int, required=True)),
+        ("--lambda0", dict(type=int, default=0, help="Casson invariant of the starting sphere")),
+    )),
+    "twist": (_cmd_twist, "evaluate a mapping-class expression", (
+        ("--surface", dict(required=True, metavar="S(0,r)")),
+        ("--expr", dict(required=True, metavar="EXPR")),
+    )),
 }
 
 
+def _build_parser(names: Iterable[str] = _COMMANDS) -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each of ``names``.
+
+    Without every subcommand, a metavar keeps all of them in the usage line of
+    top-level errors.  The full parser leaves it unset, as it also renames the
+    action in "invalid choice" and "required" errors."""
+    parser = argparse.ArgumentParser(
+        prog="palfkit",
+        description="Exact invariants of planar Lefschetz fibrations and the standard Mazur-type family.",
+    )
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if list(names) == list(_COMMANDS) else every)
+    for name in names:
+        _, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

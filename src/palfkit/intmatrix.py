@@ -31,10 +31,6 @@ class IntMatrix:
         self.rows = data
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> IntMatrix:
-        return cls([[0] * ncols for _ in range(nrows)], shape=(nrows, ncols))
-
-    @classmethod
     def identity(cls, n: int) -> IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -66,12 +62,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.rows)
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            shape=(self.ncols, self.nrows),
-        )
 
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         if self.ncols != other.nrows:

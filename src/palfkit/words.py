@@ -186,13 +186,6 @@ class Word:
                 out.append((gen, sign))
         return out
 
-    def exponent_sum(self, index: int) -> int:
-        """Total signed exponent of generator ``index``."""
-        if not 0 <= index < self.group.rank:
-            raise ValueError(f"generator index {index} out of range")
-        target = index + 1
-        return sum(1 if x == target else -1 for x in self.letters if abs(x) == target)
-
     def exponent_vector(self) -> tuple[int, ...]:
         """Image in the abelianization Z^rank."""
         vec = [0] * self.group.rank

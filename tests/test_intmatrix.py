@@ -79,26 +79,24 @@ def test_cokernel_invariants():
     # Z^2 / identity = 0
     assert cokernel_invariants(IntMatrix.identity(2)) == (0, ())
     # no columns at all: everything survives
-    assert cokernel_invariants(IntMatrix.zeros(3, 0)) == (3, ())
+    assert cokernel_invariants(IntMatrix([[], [], []], shape=(3, 0))) == (3, ())
 
 
 def test_kernel_rank():
     assert kernel_rank(IntMatrix.identity(3)) == 0
     assert kernel_rank(IntMatrix([[1, 1, 0], [0, 0, 0]])) == 2
-    assert kernel_rank(IntMatrix.zeros(2, 3)) == 3
+    assert kernel_rank(IntMatrix([[0, 0, 0], [0, 0, 0]])) == 3
 
 
 def test_from_columns_and_shape():
     m = IntMatrix.from_columns([(1, 0), (2, 3)], 2)
     assert m.rows == ((1, 2), (0, 3))
     assert m.column(1) == (2, 3)
-    assert m.transpose().rows == ((1, 0), (2, 3))
 
 
 def test_empty_dimensions():
-    empty = IntMatrix.zeros(3, 0)
+    empty = IntMatrix([[], [], []], shape=(3, 0))
     assert empty.shape == (3, 0)
     d, u, v = smith_normal_form(empty)
     assert d.shape == (3, 0)
     assert u.shape == (3, 3) and v.shape == (0, 0)
-    assert empty.transpose().shape == (0, 3)

@@ -225,6 +225,49 @@ def test_cli_usage_error_exit_two(capsys):
     assert cli.main(["family", "--n-max", "0"]) == 2
 
 
+# argv that argparse itself answers (help, or a usage error with exit 2): the
+# top level, each subcommand's help, and missing, invalid and extra arguments
+USAGE_ARGV = [
+    [], ["-h"], ["--bogus"], ["nosuch"], ["fam"],
+    ["family", "-h"], ["palf", "-h"], ["alexander", "-h"], ["casson", "-h"], ["twist", "-h"],
+    ["family"], ["family", "--n-max"], ["family", "--n-max", "x"], ["family", "--n-max", "2", "extra"],
+    ["family", "--n-max", "2", "--output"],
+    ["palf"], ["palf", "--input"], ["palf", "--input", "f", "--bogus"], ["palf", "--input", "f", "family"],
+    ["alexander"], ["alexander", "--presentation"], ["alexander", "--presentation", "x | x", "y"],
+    ["casson", "--delta", "t"], ["casson", "--delta", "t", "--m", "x"],
+    ["casson", "--delta", "t", "--m", "1", "--lambda0", "z"], ["casson", "--delta", "t", "--m", "1", "-h", "x"],
+    ["casson", "--m", "1", "extra"],
+    ["twist", "--surface", "S(0,4)"], ["twist", "--expr", "T std{1}", "--surface"],
+    ["twist", "--surface", "S(0,4)", "--expr", "T", "std{1}"],
+]
+# errors in which the full parser calls the subcommand action "command"
+COMMAND_ERRORS = {
+    "": "error: the following arguments are required: command\n",
+    "nosuch": "error: argument command: invalid choice",
+    "fam": "error: argument command: invalid choice",
+}
+
+
+def _exit_and_output(run, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        run()
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV, ids=" ".join)
+def test_cli_usage_bytes_match_full_parser(argv, monkeypatch, capsys):
+    # cli.main may build only the parser a call needs; what it prints and its
+    # exit status must be those of the parser with every subcommand
+    expected = _exit_and_output(lambda: cli._build_parser().parse_args(argv), capsys)
+    assert expected[0] in (0, 2)
+    assert COMMAND_ERRORS.get(" ".join(argv), "") in expected[2]
+    assert _exit_and_output(lambda: cli.main(argv), capsys) == expected
+    # the python -m palfkit and console-script path reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["palfkit"] + argv)
+    assert _exit_and_output(cli.main, capsys) == expected
+
+
 def test_cli_family_n_max_ceiling(monkeypatch, capsys):
     def must_not_run(n, family):
         raise AssertionError("report built before --n-max was checked")

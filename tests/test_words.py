@@ -85,8 +85,6 @@ def test_free_reduction_confluent():
 def test_exponent_vectors():
     w = F2.word([1, 2, -1, 2, 2])
     assert w.exponent_vector() == (0, 3)
-    assert w.exponent_sum(0) == 0
-    assert w.exponent_sum(1) == 3
 
 
 def test_syllables_and_str():
