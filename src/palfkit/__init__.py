@@ -31,19 +31,16 @@ from .lefschetz import (
     boundary_is_homology_sphere,
     boundary_matrix,
     family_curves,
-    family_fiber,
     family_twists,
     homology,
     mazur_family,
     pi1_presentation,
-    total_monodromy,
 )
 from .presentation import TRIVIAL, UNKNOWN, Presentation, SimplifyResult, simplify_presentation
 from .report import (
     FamilyReport,
     FamilyReportRow,
     build_family_report,
-    report_from_json,
     report_to_json,
     report_to_text,
 )

@@ -107,7 +107,7 @@ def _tokenize(text: str) -> list[_Token]:
             col = pos + 1
             if chunk[0].isalpha() or chunk[0] == "_":
                 kind = "name"
-            elif chunk.isdigit():
+            elif chunk.isdecimal():
                 kind = "int"
             elif chunk in "()|,;{}/^*+-":
                 kind = chunk

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _exact_int
 from .words import FreeGroup, Word
 
 
 class GroupRingElement:
-    """A finite integer combination of free-group words."""
+    """A finite integer combination of free-group words; a coefficient
+    that is not exactly an integer raises TypeError, never truncated."""
 
     __slots__ = ("group", "terms")
 
@@ -24,8 +25,9 @@ class GroupRingElement:
             for w, c in terms.items():
                 if w.group != group:
                     raise ValueError("term word lives in a different free group")
+                c = _exact_int(c)
                 if c:
-                    clean[w] = int(c)
+                    clean[w] = c
         self.group = group
         self.terms = clean
 
@@ -133,10 +135,8 @@ def fox_derivative(word: Word, generator: int) -> GroupRingElement:
     return GroupRingElement(group, terms)
 
 
-def abelianize(element: GroupRingElement | Word, weights: Sequence[int]) -> LaurentPoly:
+def abelianize(element: GroupRingElement, weights: Sequence[int]) -> LaurentPoly:
     """Ring homomorphism to Z[t, t^-1] sending each word to t^(weighted exponent sum)."""
-    if isinstance(element, Word):
-        element = GroupRingElement.from_word(element)
     if len(weights) != element.group.rank:
         raise ValueError("need one weight per generator")
     image: dict[int, int] = {}

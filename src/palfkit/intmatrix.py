@@ -31,10 +31,6 @@ class IntMatrix:
         self.rows = data
 
     @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
         cols = [tuple(c) for c in columns]
         if any(len(c) != nrows for c in cols):
@@ -55,13 +51,6 @@ class IntMatrix:
     def __getitem__(self, index: tuple[int, int]) -> int:
         i, j = index
         return self.rows[i][j]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
 
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         if self.ncols != other.nrows:

@@ -49,15 +49,9 @@ def unit_normalize(p: LaurentPoly) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class NormalizedAlexander:
-    """A symmetric Alexander polynomial with p(t) = p(t^-1) and p(1) = 1.
-
-    ``sign`` and ``shift`` record the unit that was divided out of the
-    input representative.
-    """
+    """A symmetric Alexander polynomial with p(t) = p(t^-1) and p(1) = 1."""
 
     poly: LaurentPoly
-    sign: int = 1
-    shift: int = 0
 
     def __post_init__(self):
         if not self.poly.is_symmetric():
@@ -67,22 +61,21 @@ class NormalizedAlexander:
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly) -> NormalizedAlexander:
-        """Normalize a polynomial that is symmetric up to units."""
+        """Normalize a polynomial that is symmetric up to units by dividing
+        out the unit +-t^k that centers it and makes its value at 1 equal 1."""
         if not p:
             raise ValueError("the zero polynomial is not an Alexander polynomial")
         total = p.min_exponent + p.max_exponent
         if total % 2:
             raise ValueError("polynomial cannot be centered symmetrically")
-        shift = -total // 2
-        q = p.shift(shift)
+        q = p.shift(-total // 2)
         if not q.is_symmetric():
             raise ValueError("polynomial is not symmetric up to units")
-        sign = 1
         if q.value_at_one() == -1:
-            q, sign = -q, -1
+            q = -q
         if q.value_at_one() != 1:
             raise ValueError("polynomial does not evaluate to +-1 at t = 1")
-        return cls(q, sign, shift)
+        return cls(q)
 
     def second_derivative_at_one(self) -> int:
         return self.poly.second_derivative_at_one()

@@ -231,9 +231,6 @@ class LaurentPoly:
     def value_at_one(self) -> int:
         return sum(self.coeffs.values())
 
-    def derivative(self) -> LaurentPoly:
-        return LaurentPoly({e - 1: c * e for e, c in self.coeffs.items()})
-
     def second_derivative_at_one(self) -> int:
         """Exact p''(1) = sum of c_e * e * (e - 1)."""
         return sum(c * e * (e - 1) for e, c in self.coeffs.items())

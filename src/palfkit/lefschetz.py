@@ -36,7 +36,6 @@ Family conventions (calibrated; see README):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 from .intmatrix import IntMatrix, cokernel_invariants
@@ -132,16 +131,6 @@ def pi1_presentation(spec: PALFSpec) -> Presentation:
     return Presentation(spec.fiber.group, [c.word for c in spec.cycles])
 
 
-def total_monodromy(spec: PALFSpec) -> MappingClass:
-    """Ordered composite of the positive twists about the vanishing cycles.
-
-    The last listed cycle's twist is applied first; the empty product is
-    the identity.
-    """
-    twists = [dehn_twist(c) for c in spec.cycles]
-    return reduce(compose, twists, MappingClass.identity(spec.fiber))
-
-
 # -- the standard family ----------------------------------------------------
 
 # Hole runs of the fixture curves alpha = std{1}, beta = std{1,2} and
@@ -157,21 +146,15 @@ _E = (3, -2)
 _C = (1, 2, 3, -2)
 
 
-def family_fiber() -> PlanarSurface:
-    return PlanarSurface(4)
-
-
-def family_curves(fiber: PlanarSurface | None = None) -> tuple[Curve, Curve, Curve]:
-    """The calibrated fixture curves (alpha, beta, gamma) on S(0,4)."""
-    s = fiber if fiber is not None else family_fiber()
-    if s.holes != 4:
-        raise ValueError("the standard family lives on S(0,4)")
+def family_curves() -> tuple[Curve, Curve, Curve]:
+    """The calibrated fixture curves (alpha, beta, gamma) on a fresh S(0,4)."""
+    s = PlanarSurface(4)
     return tuple(standard_curve(s, holes) for holes in FAMILY_HOLE_RUNS)
 
 
-def family_twists(fiber: PlanarSurface | None = None) -> tuple[MappingClass, MappingClass, MappingClass]:
+def family_twists() -> tuple[MappingClass, MappingClass, MappingClass]:
     """Twists (t_alpha, t_beta, t_gamma) about the fixture curves."""
-    alpha, beta, gamma = family_curves(fiber)
+    alpha, beta, gamma = family_curves()
     return dehn_twist(alpha), dehn_twist(beta), dehn_twist(gamma)
 
 
@@ -217,8 +200,8 @@ def mazur_family(n: int) -> PALFSpec:
     """
     if n < 0:
         raise ValueError("family index must be nonnegative")
-    s = family_fiber()
-    alpha, beta, gamma = family_curves(s)
+    alpha, beta, gamma = family_curves()
+    s = alpha.surface
     phi = compose(dehn_twist(gamma), dehn_twist(beta))
     word = _closed_form_word(phi, gamma, n)
     return PALFSpec(s, (alpha, beta, Curve(s, word, ImagePosition(phi, gamma, n))))

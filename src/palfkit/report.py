@@ -46,12 +46,18 @@ class FamilyReportRow:
 @dataclass(frozen=True)
 class FamilyReport:
     rows: tuple[FamilyReportRow, ...]
-    conventions: dict
-    conclusions: dict
 
     @property
     def all_pass(self) -> bool:
         return all(row.passes for row in self.rows)
+
+    @property
+    def conclusions(self) -> dict:
+        cassons = [row.casson for row in self.rows]
+        return {
+            "boundaries_pairwise_distinct": len(set(cassons)) == len(cassons),
+            "no_boundary_is_s3": all(v != 0 for v in cassons),
+        }
 
 
 def _group_str(rank: int, torsion: Sequence[int]) -> str:
@@ -130,28 +136,17 @@ def build_family_report(n_max: int, family: Callable[[int], PALFSpec] = mazur_fa
                 closed_form_match=mismatch is None,
             )
         )
-    cassons = [row.casson for row in rows]
-    conclusions = {
-        "boundaries_pairwise_distinct": len(set(cassons)) == len(cassons),
-        "no_boundary_is_s3": all(v != 0 for v in cassons),
-    }
-    return FamilyReport(tuple(rows), dict(CONVENTIONS), conclusions)
+    return FamilyReport(tuple(rows))
 
 
 def report_to_json(report: FamilyReport) -> str:
     doc = {
         "rows": [asdict(row) for row in report.rows],
-        "conventions": report.conventions,
+        "conventions": CONVENTIONS,
         "conclusions": report.conclusions,
         "all_pass": report.all_pass,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def report_from_json(text: str) -> FamilyReport:
-    doc = json.loads(text)
-    rows = tuple(FamilyReportRow(**row) for row in doc["rows"])
-    return FamilyReport(rows, doc["conventions"], doc["conclusions"])
 
 
 def report_to_text(report: FamilyReport) -> str:
@@ -164,8 +159,9 @@ def report_to_text(report: FamilyReport) -> str:
             f"{row.n:>3}  {str(row.allowable).lower():5}  {row.homology:10}  {row.chi:>3}  "
             f"{row.pi1:8}  {row.delta2_at_1:>6}  {row.casson:>6}  {str(row.closed_form_match).lower():5}  {row.factor}"
         )
+    conclusions = report.conclusions
     lines.append("")
-    lines.append(f"boundaries pairwise distinct: {report.conclusions['boundaries_pairwise_distinct']}")
-    lines.append(f"no boundary is S^3:           {report.conclusions['no_boundary_is_s3']}")
+    lines.append(f"boundaries pairwise distinct: {conclusions['boundaries_pairwise_distinct']}")
+    lines.append(f"no boundary is S^3:           {conclusions['no_boundary_is_s3']}")
     lines.append(f"all checks pass:              {report.all_pass}")
     return "\n".join(lines)

@@ -21,7 +21,7 @@ build their twists through :func:`twist_of_image` instead, e.g. from a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .words import FreeGroup, Word, are_conjugate, substitute
 
@@ -90,7 +90,7 @@ class Curve:
 
     Isotopy is not decided; two Curve values describe the same free
     homotopy class when their words are conjugate (see
-    :meth:`is_equivalent`).
+    :func:`are_conjugate`).
     """
 
     __slots__ = ("surface", "word", "homology_class", "provenance")
@@ -116,12 +116,6 @@ class Curve:
 
     def __repr__(self) -> str:
         return f"Curve({self.word!s})"
-
-    def is_equivalent(self, other: Curve) -> bool:
-        """True when the representative words are conjugate."""
-        if self.surface != other.surface:
-            return False
-        return are_conjugate(self.word, other.word)
 
     @property
     def is_nullhomologous(self) -> bool:
@@ -240,10 +234,6 @@ class MappingClass:
         body = ", ".join(f"{n} -> {w}" for n, w in zip(self.surface.group.names, self.images))
         return f"MappingClass({body})"
 
-    @property
-    def is_identity(self) -> bool:
-        return self.images == tuple(self.surface.group.generators())
-
     def __call__(self, word: Word) -> Word:
         if word.group != self.surface.group:
             raise ValueError("word does not live on the surface")
@@ -277,12 +267,9 @@ def power(phi: MappingClass, n: int) -> MappingClass:
     return result
 
 
-def apply(phi: MappingClass, target: Union[Word, Curve]) -> Union[Word, Curve]:
-    """Image of a word or curve; image curves remember their provenance."""
-    if isinstance(target, Word):
-        return phi(target)
-    if not isinstance(target, Curve):
-        raise TypeError("expected a Word or a Curve")
+def apply(phi: MappingClass, target: Curve) -> Curve:
+    """Image of a curve, which remembers its provenance; the image of a
+    word ``w`` is ``phi(w)``."""
     if target.surface != phi.surface:
         raise ValueError("curve does not live on the mapping class surface")
     if isinstance(target.provenance, ImagePosition):

@@ -17,7 +17,7 @@ from palfkit.grammar import (
 )
 from palfkit.laurent import LaurentPoly
 from palfkit.lefschetz import family_twists, mazur_family
-from palfkit.surface import OVER, UNDER, PlanarSurface, compose, power, standard_curve
+from palfkit.surface import OVER, UNDER, MappingClass, PlanarSurface, compose, power, standard_curve
 
 
 # -- presentations -------------------------------------------------------------
@@ -64,6 +64,21 @@ def test_multiline_error_position():
     with pytest.raises(ParseError) as exc:
         parse_presentation("x y |\n x ^")
     assert exc.value.line == 2
+
+
+def test_non_ascii_digits_are_unexpected_characters():
+    # superscript digits pass str.isdigit but are not decimal digits, so
+    # they must fail as positioned parse errors, not as int() errors
+    cases = [
+        (parse_presentation, "x y | x^\u00b2", 9),
+        (parse_monodromy, "S(0,\u00b2)", 5),
+        (parse_monodromy, "S(0,4); T std{1,\u00b2}", 17),
+        (parse_laurent, "\u00b3t", 1),
+    ]
+    for parse, text, column in cases:
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (1, column), text
 
 
 def test_presentation_round_trip():
@@ -168,18 +183,18 @@ def test_generator_names_may_collide_with_keywords():
 
 def test_mapping_class_expressions():
     s = PlanarSurface(4)
-    t_a, t_b, t_g = family_twists(s)
+    t_a, t_b, t_g = family_twists()
     assert parse_mapping_class("Tb", s) == t_b
     assert parse_mapping_class("Tg Tb", s) == compose(t_g, t_b)
     assert parse_mapping_class("(Tg Tb)^2", s) == power(compose(t_g, t_b), 2)
     assert parse_mapping_class("(Tg Tb)^-1", s) == compose(t_g, t_b).inverse()
     assert parse_mapping_class("T std{1,2}", s) == t_b
-    assert parse_mapping_class("(Tb)^0", s).is_identity
+    assert parse_mapping_class("(Tb)^0", s) == MappingClass.identity(s)
 
 
 def test_alias_builds_only_its_own_twist(monkeypatch):
     s = PlanarSurface(4)
-    twists = family_twists(s)
+    twists = family_twists()
     for name, expected in zip(("Ta", "Tb", "Tg"), twists):
         calls = []
         curves = []
@@ -212,7 +227,7 @@ def test_apply_nesting():
     text = "S(0,4); T apply(Tb, apply(Tg, std{2,3}))"
     spec = parse_monodromy(text)
     s = PlanarSurface(4)
-    t_a, t_b, t_g = family_twists(s)
+    t_a, t_b, t_g = family_twists()
     from palfkit.surface import apply as apply_mc
 
     expected = apply_mc(t_b, apply_mc(t_g, standard_curve(s, (2, 3))))

@@ -109,16 +109,23 @@ def test_abelianized_fox_row_matches_one_pass_oracle():
 
 
 def test_abelianize_examples():
-    assert abelianize(F2.word([1, 2, -1]), (1, 1)) == LaurentPoly.t()
+    assert abelianize(GroupRingElement.from_word(F2.word([1, 2, -1])), (1, 1)) == LaurentPoly.t()
     elem = ONE + GroupRingElement.from_word(X * Y) - GroupRingElement.from_word(F2.word([1, 2, 1, -2, -1]))
     assert abelianize(elem, (1, 1)) == LaurentPoly({0: 1, 1: -1, 2: 1})
-    assert abelianize(F2.identity, (1, 1)) == LaurentPoly.one()
+    assert abelianize(ONE, (1, 1)) == LaurentPoly.one()
 
 
 def test_abelianize_weights():
-    assert abelianize(X * Y, (2, -1)) == LaurentPoly.t()
+    assert abelianize(GroupRingElement.from_word(X * Y), (2, -1)) == LaurentPoly.t()
     with pytest.raises(ValueError):
-        abelianize(X, (1,))
+        abelianize(GroupRingElement.from_word(X), (1,))
+
+
+def test_coefficients_must_be_exact_integers():
+    assert GroupRingElement(F2, {X: 2.0, Y: True}).terms == {X: 2, Y: 1}
+    for bad in (0.5, 1.9, -0.1):
+        with pytest.raises(TypeError):
+            GroupRingElement(F2, {X: bad})
 
 
 def test_abelianize_multiplicative():

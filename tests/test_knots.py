@@ -283,10 +283,8 @@ def test_from_laurent_normalizes_units():
     p = LaurentPoly({0: 1, 1: -1, 2: 1})  # t * (t^-1 - 1 + t)
     norm = NormalizedAlexander.from_laurent(p)
     assert norm.poly == LaurentPoly({-1: 1, 0: -1, 1: 1})
-    assert norm.shift == -1 and norm.sign == 1
     flipped = NormalizedAlexander.from_laurent(LaurentPoly({0: -1, 1: 1, 2: -1}))
     assert flipped.poly == LaurentPoly({-1: 1, 0: -1, 1: 1})
-    assert flipped.sign == -1
 
 
 def test_from_laurent_rejects_uncenterable():

@@ -53,11 +53,6 @@ def test_symmetric_second_derivative_even():
         assert p.second_derivative_at_one() % 2 == 0
 
 
-def test_derivative():
-    p = LaurentPoly({2: 3, 0: 5, -1: 1})
-    assert p.derivative() == LaurentPoly({1: 6, -2: -1})
-
-
 def test_value_at_one_and_structure():
     p = LaurentPoly({-2: 1, 0: 3, 2: 1})
     assert p.value_at_one() == 5
