@@ -26,13 +26,14 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
 # Largest accepted ``family --n-max``.  The words of row n cost O(n) letters
-# (gamma_n comes from its closed form), but three per-row stages still cost
-# O(n^2): the Fox rows of ``alexander_from_presentation``, the Laurent product
-# in ``fox_milnor_compose`` and ``Word.least_rotation`` in the Tietze pass.
-# So a report still costs roughly O(N^3): ``build_family_report`` took 0.27 s
-# at N = 60 and 1.5 s at N = 120 (CPython 3.11.7, one Intel Xeon core).  The
-# ceiling bounds a run's work; 500 is the largest report size the project
-# sets performance targets for.
+# (gamma_n comes from its closed form) and so does ``Word.least_rotation`` in
+# the Tietze pass, but two per-row stages still cost O(n^2): the Fox rows of
+# ``alexander_from_presentation`` and the Laurent product in
+# ``fox_milnor_compose``.  So a report still costs roughly O(N^3):
+# ``build_family_report`` took 0.27 s at N = 60 and 1.3-1.5 s at N = 120
+# (CPython 3.11.7, one core of a shared two-core Intel Xeon VM).  The ceiling
+# bounds a run's work; 500 is the largest report size the project sets
+# performance targets for.
 MAX_FAMILY_N = 500
 
 

@@ -80,7 +80,10 @@ MAX_WORD_LETTERS = 100_000
 # before the surface is built.
 MAX_HOLES = 1000
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()|,;{}/^*+\-]|\S")
+# Names and integers are ASCII only; any other character, a non-ASCII letter
+# or digit included, falls through to the unnamed ``\S`` branch and is
+# refused as an unexpected character.
+_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<punct>[()|,;{}/^*+\-])|\S")
 
 
 class _Token:
@@ -105,11 +108,9 @@ def _tokenize(text: str) -> list[_Token]:
             assert m is not None
             chunk = m.group()
             col = pos + 1
-            if chunk[0].isalpha() or chunk[0] == "_":
-                kind = "name"
-            elif chunk.isdecimal():
-                kind = "int"
-            elif chunk in "()|,;{}/^*+-":
+            if m.lastgroup in ("name", "int"):
+                kind = m.lastgroup
+            elif m.lastgroup == "punct":
                 kind = chunk
             else:
                 raise ParseError(f"unexpected character {chunk!r}", lineno, col)

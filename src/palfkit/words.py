@@ -32,6 +32,8 @@ class FreeGroup:
         self.names = tuple(names)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return isinstance(other, FreeGroup) and self.rank == other.rank and self.names == other.names
 
     def __hash__(self) -> int:
@@ -205,14 +207,31 @@ class Word:
         """The least rotation of the cyclic reduction, comparing letter
         tuples; two words are conjugate exactly when these agree.
 
+        Duval's Lyndon-factorization scan over the doubled core finds it in
+        O(L) letter comparisons (J. Algorithms 4, 1983).
+
         >>> F = FreeGroup(2, ("x", "y"))
         >>> F.word([2, 1, 2, 1, 1]).least_rotation()
         Word('x^2 y x y')
+        >>> F.word([2, 1] * 3).least_rotation()
+        Word('x y x y x y')
         """
         core = self.cyclic_reduction().letters
         doubled = core + core
         n = len(core)
-        return Word._trusted(self.group, min((doubled[i:i + n] for i in range(n)), default=core))
+        # each pass reads one run u^k v from i, where u is a Lyndon word and
+        # v a proper prefix of u, and moves i past the k copies of u; the
+        # least rotation begins the last run that starts before n
+        i = start = 0
+        while i < n:
+            start = i
+            j, k = i + 1, i
+            while j < 2 * n and doubled[k] <= doubled[j]:
+                k = i if doubled[k] < doubled[j] else k + 1
+                j += 1
+            while i <= k:
+                i += j - k
+        return Word._trusted(self.group, doubled[start:start + n])
 
 
 def substitute(word: Word, images: Sequence[Word], target: FreeGroup | None = None) -> Word:
@@ -225,13 +244,20 @@ def substitute(word: Word, images: Sequence[Word], target: FreeGroup | None = No
         raise ValueError("need one image word per generator")
     if target is None:
         target = images[0].group if images else word.group
-    if any(img.group != target for img in images):
-        raise ValueError("image words must live in the target group")
-    table: dict[int, tuple[int, ...]] = {}
-    for i, img in enumerate(images, 1):
-        table[i] = img.letters
-        table[-i] = _inverse_letters(img.letters)
-    letters = [y for x in word.letters for y in table[x]]
+    for img in images:
+        if img.group is not target and img.group != target:
+            raise ValueError("image words must live in the target group")
+    # an inverse image is built only for a letter that occurs inverted
+    inverses: dict[int, tuple[int, ...]] = {}
+    letters: list[int] = []
+    for x in word.letters:
+        if x > 0:
+            letters += images[x - 1].letters
+        else:
+            block = inverses.get(x)
+            if block is None:
+                block = inverses[x] = _inverse_letters(images[-x - 1].letters)
+            letters += block
     return Word._trusted(target, free_reduce(letters))
 
 

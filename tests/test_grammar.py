@@ -74,11 +74,28 @@ def test_non_ascii_digits_are_unexpected_characters():
         (parse_monodromy, "S(0,\u00b2)", 5),
         (parse_monodromy, "S(0,4); T std{1,\u00b2}", 17),
         (parse_laurent, "\u00b3t", 1),
+        (parse_presentation, "x | x^\u0663", 7),  # ARABIC-INDIC DIGIT THREE is decimal
     ]
     for parse, text, column in cases:
         with pytest.raises(ParseError, match="unexpected character") as exc:
             parse(text)
         assert (exc.value.line, exc.value.column) == (1, column), text
+
+
+def test_non_ascii_letters_are_unexpected_characters():
+    # a name is ASCII only: a non-ASCII letter must not split it into two
+    # names, nor start a name of its own
+    cases = [
+        (parse_presentation, "x\u00e9 | x\u00e9", 1, 2),
+        (parse_presentation, "x_\u00e9 | x", 1, 3),
+        (parse_presentation, "x y |\n\u00e9", 2, 1),
+        (parse_monodromy, "S(0,4); \u00e9 std{1,2}", 1, 9),
+        (parse_laurent, "1 + \u00b5", 1, 5),
+    ]
+    for parse, text, line, column in cases:
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (line, column), text
 
 
 def test_presentation_round_trip():

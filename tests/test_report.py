@@ -204,9 +204,10 @@ def test_cli_alexander_output_pinned(capsys):
 
 
 def test_cli_parse_error_exit_two(capsys):
-    assert cli.main(["alexander", "--presentation", "x |)"]) == 2
-    err = capsys.readouterr().err
-    assert "column 4" in err
+    for text, column in (("x |)", 4), ("x\u00e9 | x\u00e9", 2)):
+        assert cli.main(["alexander", "--presentation", text]) == 2
+        err = capsys.readouterr().err
+        assert f"column {column}" in err and "Traceback" not in err
 
 
 def test_cli_usage_error_exit_two(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_word
+from palfkit.lefschetz import mazur_family
 from palfkit.words import FreeGroup, Word, are_conjugate, free_reduce, substitute
 
 F2 = FreeGroup(2, ("x", "y"))
@@ -139,6 +140,35 @@ def test_substitute_rejects_images_outside_target():
         substitute(X, [FreeGroup(3).generator(2), Y], target=F2)
 
 
+def test_substitute_accepts_images_from_an_equal_group():
+    # equal groups (same rank and names) are one group, object identity aside
+    twin = FreeGroup(2, ("x", "y"))
+    assert twin is not F2 and twin == F2
+    u, v = twin.generators()
+    assert substitute(X * Y, [v, u]) == Y * X
+    assert substitute(X * Y, [v, u], target=F2) == Y * X
+    assert substitute(X * Y, [Y, X], target=twin) == Y * X
+    with pytest.raises(ValueError):
+        substitute(X * Y, [X, Y], target=FreeGroup(2, ("x", "z")))
+    with pytest.raises(ValueError):
+        substitute(X * Y, [u, FreeGroup(2, ("y", "x")).generator(0)])
+
+
+def test_substitute_repeated_inverse_letters_match_naive():
+    # x^-3 y^-2 x^-1: each inverse image is reused, never mutated in place
+    target = FreeGroup(3)
+    a, b, c = target.generators()
+    images = [a * b * c.inverse(), b * b * a]
+    w = F2.word([-1, -1, -1, -2, -2, -1])
+    naive = []
+    for x in w.letters:
+        img = images[abs(x) - 1].letters
+        naive.extend(img if x > 0 else _naive_inverse(img))
+    assert substitute(w, images) == Word(target, naive)
+    assert substitute(w, images) == (images[0] ** -3) * (images[1] ** -2) * images[0].inverse()
+    assert substitute(w * w, images) == Word(target, naive + naive)
+
+
 def _naive_inverse(letters):
     return tuple(-x for x in reversed(letters))
 
@@ -185,9 +215,43 @@ def test_rotations_and_least_rotation_match_naive():
         w = random_word(rng, group, 14)
         if rng.random() < 0.3:  # give it a conjugating shell to strip
             w = w.conjugate(random_word(rng, group, 4))
-        core = _naive_cyclic_core(w.letters)
-        expected = [core[i:] + core[:i] for i in range(len(core))]
-        assert w.least_rotation() == Word(group, min(expected, default=()))
+        assert w.least_rotation() == Word(group, _all_rotations_min(w.letters))
+
+
+def _all_rotations_min(letters):
+    # the least rotation by brute force: every rotation of the cyclic core
+    core = _naive_cyclic_core(letters)
+    return min((core[i:] + core[:i] for i in range(len(core))), default=())
+
+
+def test_least_rotation_edge_cases_match_all_rotations():
+    # Duval's scan against the brute-force minimum on the inputs where its
+    # run bookkeeping matters: periodic words, one-letter powers, runs of
+    # the least letter, the empty word and the family's long gamma_n words
+    rng = random.Random(19)
+    groups = (F2, FreeGroup(3))
+    words = [F2.identity, F2.word([1, -1])]
+    for _ in range(200):
+        group = rng.choice(groups)
+        u = random_word(rng, group, 6).cyclic_reduction()
+        words.append(u ** rng.randrange(1, 31))
+    for _ in range(100):
+        group = rng.choice(groups)
+        x = rng.choice([g for g in range(-group.rank, group.rank + 1) if g])
+        words.append(group.word([x] * rng.randrange(1, 40)))
+    for _ in range(200):
+        group = rng.choice(groups)
+        least = -group.rank
+        letters = []
+        for _ in range(rng.randrange(1, 8)):
+            letters += [least] * rng.randrange(1, 5)
+            letters.append(rng.randrange(1, group.rank))  # never -least, which would cancel
+            letters += random_word(rng, group, 3).letters
+        words.append(group.word(letters))
+    words += [mazur_family(n).cycles[2].word for n in (1, 2, 7, 60, 120, 480)]
+    assert len(words) >= 500
+    for w in words:
+        assert w.least_rotation().letters == _all_rotations_min(w.letters), w
 
 
 def _doubled_string_conjugate(u, v):
