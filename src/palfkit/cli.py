@@ -30,9 +30,9 @@ EXIT_USAGE = 2
 # the Tietze pass, but two per-row stages still cost O(n^2): the Fox rows of
 # ``alexander_from_presentation`` and the Laurent product in
 # ``fox_milnor_compose``.  So a report still costs roughly O(N^3):
-# ``build_family_report`` took 0.27 s at N = 60 and 1.3-1.5 s at N = 120
-# (CPython 3.11.7, one core of a shared two-core Intel Xeon VM).  The ceiling
-# bounds a run's work; 500 is the largest report size the project sets
+# ``build_family_report`` took 0.23 s at N = 60 and 1.23 s at N = 120 (median
+# of five, CPython 3.11.7, one core of a shared two-core Intel Xeon VM).  The
+# ceiling bounds a run's work; 500 is the largest report size the project sets
 # performance targets for.
 MAX_FAMILY_N = 500
 

@@ -30,8 +30,9 @@ Laurent polynomials::
 Parentheses and ``apply(...)`` nest at most :data:`MAX_NESTING` levels
 deep, a presentation word expands to at most :data:`MAX_WORD_LETTERS`
 letters, and a surface has at most :data:`MAX_HOLES` holes.  All parse
-failures, these three limits included, raise :class:`ParseError`
-carrying 1-based line and column numbers.
+failures, these three limits and an integer literal too long for ``int``
+included, raise :class:`ParseError` carrying 1-based line and column
+numbers, with lines as :meth:`str.splitlines` splits them.
 """
 
 from __future__ import annotations
@@ -98,7 +99,12 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+    # Lines are what ``str.splitlines`` splits on (``\n``, ``\r\n``, ``\r``,
+    # ``\x0c``, ``\u2028``, ...).  The appended space is skipped as
+    # whitespace and marks where the end-of-input token sits: just past the
+    # last character, on a line of its own after a trailing line break.
+    lines = (text + " ").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         pos = 0
         while pos < len(line):
             if line[pos].isspace():
@@ -116,8 +122,7 @@ def _tokenize(text: str) -> list[_Token]:
                 raise ParseError(f"unexpected character {chunk!r}", lineno, col)
             tokens.append(_Token(kind, chunk, lineno, col))
             pos = m.end()
-    physical = text.split("\n")
-    tokens.append(_Token("end", "", len(physical), len(physical[-1]) + 1))
+    tokens.append(_Token("end", "", len(lines), len(lines[-1])))
     return tokens
 
 
@@ -159,13 +164,21 @@ class _Parser:
     def at_end(self) -> bool:
         return self.current.kind == "end"
 
+    def expect_int(self) -> int:
+        """The value of an 'int' token; the one place a literal becomes an int."""
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            message = f"integer literal of {len(tok.text)} digits is too long"
+            raise ParseError(message, tok.line, tok.column) from None
+
     def parse_int(self) -> int:
         negative = False
         if self.current.kind == "-":
             self.advance()
             negative = True
-        tok = self.expect("int")
-        value = int(tok.text)
+        value = self.expect_int()
         return -value if negative else value
 
 
@@ -270,8 +283,7 @@ def _parse_laurent_term(parser: _Parser) -> tuple[int, int]:
     coeff = 1
     saw_coeff = False
     if tok.kind == "int":
-        parser.advance()
-        coeff = int(tok.text)
+        coeff = parser.expect_int()
         saw_coeff = True
         if parser.current.kind == "*":
             parser.advance()
@@ -387,8 +399,8 @@ def _parse_curve(parser: _Parser, surface: PlanarSurface) -> Curve:
 
 
 def _parse_hole(parser: _Parser, surface: PlanarSurface) -> int:
-    tok = parser.expect("int")
-    hole = int(tok.text)
+    tok = parser.current
+    hole = parser.expect_int()
     if not 1 <= hole < surface.holes:
         raise ParseError(f"hole index {hole} out of range on {surface}", tok.line, tok.column)
     return hole

@@ -1,13 +1,20 @@
 """Exact integer matrices and Smith normal form with transforms.
 
-All arithmetic uses Python integers, so there is no overflow anywhere.
+All arithmetic uses Python integers, so there is no overflow anywhere;
+an entry that is not exactly an integer raises TypeError, never truncated.
 The Smith reduction uses the classic elimination with the smallest
-nonzero absolute value as pivot, which keeps runs deterministic.
+nonzero absolute value as pivot, which keeps runs deterministic.  It
+reduces one block matrix [[A, I], [I, 0]] (Cohen, GTM 138, section 2.4):
+row operations touch only A's rows and column operations only A's
+columns, so the top-right block records U, the bottom-left block records
+V, and U*A*V = D holds by construction.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+from .laurent import _exact_int
 
 
 class IntMatrix:
@@ -16,7 +23,7 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows: Iterable[Iterable[int]], shape: tuple[int, int] | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(_exact_int, row)) for row in rows)
         if shape is not None:
             nrows, ncols = shape
             if len(data) != nrows or any(len(r) != ncols for r in data):
@@ -97,88 +104,60 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     D is diagonal with nonnegative entries d1 | d2 | ... in divisibility
     order.
     """
-    a = [list(r) for r in m.rows]
     nrows, ncols = m.nrows, m.ncols
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        # row dst += factor * row src
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    # [[m, I], [I, 0]]; row operations act on the first nrows rows and column
+    # operations on the first ncols columns, so U and V accrue in step with D
+    b = [list(r) + [1 if i == k else 0 for k in range(nrows)] for i, r in enumerate(m.rows)]
+    b += [[1 if i == j else 0 for j in range(ncols)] + [0] * nrows for i in range(ncols)]
 
     t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        # pivot: smallest nonzero absolute value in the remaining block
-        pivot = None
+    while t < min(nrows, ncols):
+        # pivot: smallest nonzero absolute value in the remaining block,
+        # the first in row-major order on ties
+        pivot, smallest = None, 0
         for i in range(t, nrows):
             for j in range(t, ncols):
-                x = a[i][j]
-                if x and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                x = b[i][j]
+                if x and (pivot is None or abs(x) < smallest):
+                    pivot, smallest = (i, j), abs(x)
         if pivot is None:
             break
         pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
+        b[t], b[pi] = b[pi], b[t]
         if pj != t:
-            swap_cols(t, pj)
-        if a[t][t] < 0:
-            negate_row(t)
+            for row in b:
+                row[t], row[pj] = row[pj], row[t]
+        if b[t][t] < 0:
+            b[t] = [-x for x in b[t]]
+        p = b[t][t]
 
         dirty = False
         for i in range(t + 1, nrows):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                add_row(t, i, -q)
-                if a[i][t]:
-                    dirty = True
+            if b[i][t]:
+                q = b[i][t] // p
+                b[i] = [x - q * y for x, y in zip(b[i], b[t])]
+                dirty = dirty or b[i][t] != 0
         for j in range(t + 1, ncols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                add_col(t, j, -q)
-                if a[t][j]:
-                    dirty = True
+            if b[t][j]:
+                q = b[t][j] // p
+                for row in b:
+                    row[j] -= q * row[t]
+                dirty = dirty or b[t][j] != 0
         if dirty:
             continue  # remainder became the new smallest entry; re-pivot
 
         # pivot must divide the rest of the block, else absorb an offender
-        offender = None
         for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
+            if any(x % p for x in b[i][t + 1:ncols]):
+                b[t] = [x + y for x, y in zip(b[t], b[i])]
                 break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        t += 1
+        else:
+            t += 1
 
-    d = IntMatrix(a, shape=(nrows, ncols))
-    return d, IntMatrix(u, shape=(nrows, nrows)), IntMatrix(v, shape=(ncols, ncols))
+    top, bottom = b[:nrows], b[nrows:]
+    return (IntMatrix([r[:ncols] for r in top], shape=(nrows, ncols)),
+            IntMatrix([r[ncols:] for r in top], shape=(nrows, nrows)),
+            IntMatrix([r[:ncols] for r in bottom], shape=(ncols, ncols)))
 
 
 def cokernel_invariants(m: IntMatrix) -> tuple[int, tuple[int, ...]]:

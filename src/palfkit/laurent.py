@@ -15,6 +15,8 @@ from typing import Iterator, Mapping
 def _exact_int(x) -> int:
     """``x`` as an int, when it is one exactly; TypeError otherwise (so
     0.5 or 1.9 is rejected, never truncated)."""
+    if type(x) is int:
+        return x
     n = int(x)
     if n != x:
         raise TypeError(f"{x!r} is not an integer")

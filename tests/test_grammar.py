@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -64,6 +65,35 @@ def test_multiline_error_position():
     with pytest.raises(ParseError) as exc:
         parse_presentation("x y |\n x ^")
     assert exc.value.line == 2
+    # every str.splitlines break starts a line, for tokens and for the end of
+    # input alike; the end sits past the last character, on a line of its own
+    # after a trailing break
+    for brk in ("\n", "\r\n", "\r", "\x0c", "\u2028"):
+        for text, position in ((f"x |{brk}x^", (2, 3)), (f"x |{brk}x^ y", (2, 4)), (f"x{brk}", (2, 1))):
+            with pytest.raises(ParseError) as exc:
+                parse_presentation(text)
+            assert (exc.value.line, exc.value.column) == position, repr(text)
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    # CPython refuses to convert a decimal string longer than its limit; the
+    # parsers report that at the literal instead of a bare ValueError
+    nines = "9" * 5000
+    cases = [
+        (parse_presentation, "x | x^" + nines, 7),
+        (parse_laurent, nines + "t", 1),
+        (parse_monodromy, "S(0," + nines + ")", 5),
+        (parse_monodromy, "S(0,4); T std{" + nines + "}", 15),
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for parse, text, column in cases:
+            with pytest.raises(ParseError, match="5000 digits is too long") as exc:
+                parse(text)
+            assert (exc.value.line, exc.value.column) == (1, column), text[:20]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_non_ascii_digits_are_unexpected_characters():

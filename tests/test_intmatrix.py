@@ -1,15 +1,17 @@
 import random
 
+import pytest
 import sympy as sp
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from palfkit.intmatrix import IntMatrix, cokernel_invariants, det, kernel_rank, smith_normal_form
 
 
-def random_matrix(rng, max_dim=4, bound=5):
-    nrows = rng.randrange(1, max_dim + 1)
-    ncols = rng.randrange(1, max_dim + 1)
-    return IntMatrix([[rng.randrange(-bound, bound + 1) for _ in range(ncols)] for _ in range(nrows)])
+def random_matrix(rng, min_dim=1, max_dim=4, bound=5):
+    nrows = rng.randrange(min_dim, max_dim + 1)
+    ncols = rng.randrange(min_dim, max_dim + 1)
+    return IntMatrix([[rng.randrange(-bound, bound + 1) for _ in range(ncols)] for _ in range(nrows)],
+                     shape=(nrows, ncols))
 
 
 I3 = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -37,7 +39,7 @@ def test_family_boundary_matrix_snf():
 def test_snf_properties_random():
     rng = random.Random(41)
     for _ in range(500):
-        m = random_matrix(rng)
+        m = random_matrix(rng, min_dim=0)  # (0, n) and (m, 0) included
         d, u, v = smith_normal_form(m)
         # transforms are unimodular and exact
         assert det(u) in (1, -1)
@@ -102,3 +104,10 @@ def test_empty_dimensions():
     d, u, v = smith_normal_form(empty)
     assert (d.nrows, d.ncols) == (3, 0)
     assert (u.nrows, u.ncols) == (3, 3) and (v.nrows, v.ncols) == (0, 0)
+
+
+def test_entries_must_be_exact_integers():
+    assert IntMatrix([[2.0, -1]]).rows == ((2, -1),)
+    for bad in (1.9, 0.5, "3"):
+        with pytest.raises(TypeError):
+            IntMatrix([[bad, 0]])
