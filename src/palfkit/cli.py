@@ -11,6 +11,7 @@ usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from pathlib import Path
@@ -79,7 +80,8 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_casson(args) -> int:
     delta = NormalizedAlexander.from_laurent(parse_laurent(args.delta))
-    print(casson_surgery(args.lambda0, args.m, delta))
+    # str(int) refuses past sys.get_int_max_str_digits(); Decimal's does not
+    print(decimal.Decimal(casson_surgery(args.lambda0, args.m, delta)))
     return EXIT_OK
 
 

@@ -6,8 +6,10 @@ Each entry of the abelianized Fox matrix is
 ``abelianize(fox_derivative(r, j), weights)``; the group-ring terms are
 prefixes of the reduced relator, taken as slices without re-validation.
 All k maximal minors of the (k-1) x k matrix come from one
-fraction-free Gauss-Jordan pass over Z[t, t^-1] with exact Laurent
-division (O(k^3) ring operations for all of them together).
+fraction-free Gauss-Jordan pass (O(k^3) operations for all of them
+together), run over Z by Kronecker substitution: each entry becomes one
+integer, its value at t = 2^b with b set by Hadamard's bound, and each
+minor is read back from its base-2^b digits.
 
 The Casson invariant of a homology sphere is a plain integer here;
 ``casson_surgery`` implements lambda(M + (1/m) K) = lambda(M) + (m/2) Delta''(1)
@@ -130,6 +132,17 @@ def maximal_minors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
     is the first nonzero entry of row p among the columns not yet used; if
     there is none, row p depends on the rows above it and every minor is 0.
 
+    The pass runs over Z, by Kronecker substitution.  Row i is divided by
+    t^(m_i), m_i its least exponent, and each entry is replaced by its value
+    at t = 2^b, b a multiple of 8.  Every entry the pass makes is, up to
+    sign, a minor of that polynomial matrix.  On |t| = 1 such a minor has
+    modulus at most H = prod_i sqrt(sum_j ||a_ij||_1^2) by Hadamard's
+    inequality (each factor is at least 1, no row being zero), and no
+    coefficient exceeds the maximum modulus.  As 2^(b - 1) > H, no nonzero
+    entry evaluates to 0: the pivots are those of the pass over
+    Z[t, t^-1], every division is exact, and each minor is read back from
+    its balanced base-2^b digits, times t^(m_0 + ... + m_(n-1)).
+
     >>> t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
     >>> [str(m) for m in maximal_minors([[zero, one, t], [one, t, zero]])]
     ['-t^2', '-t', '-1']
@@ -137,10 +150,21 @@ def maximal_minors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
     n, width = len(rows), len(rows) + 1
     if any(len(row) != width for row in rows):
         raise ValueError(f"need an n x (n + 1) matrix, got {n} rows of lengths {sorted({len(r) for r in rows})}")
-    a = [list(row) for row in rows]
+    if n <= 1:
+        # nothing to eliminate: the minors of [a, b] are b and a
+        return [rows[0][1], rows[0][0]] if n else [LaurentPoly.one()]
+    lows, square = [], 1  # square is H^2
+    for row in rows:
+        if not any(row):
+            return [LaurentPoly.zero()] * width
+        lows.append(min(entry.min_exponent for entry in row if entry))
+        square *= sum(sum(map(abs, entry.coeffs.values())) ** 2 for entry in row)
+    # 2^(2(b - 1)) > H^2 once b - 1 >= bit_length(H^2) / 2; b = 8 * size
+    size = ((square.bit_length() + 1) // 2 + 8) // 8
+    a = [[sum(c << 8 * size * (e - low) for e, c in entry.coeffs.items()) for entry in row]
+         for row, low in zip(rows, lows)]
     perm = list(range(width))
-    sign = 1
-    prev = LaurentPoly.one()
+    sign = prev = 1
     for p in range(n):
         pivot_row = a[p]
         q = next((q for q in range(p, width) if pivot_row[q]), None)
@@ -157,13 +181,28 @@ def maximal_minors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
                 continue
             lead = row[p]
             for j in range(p + 1, width):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]).exact_quotient(prev)
+                row[j], remainder = divmod(row[j] * pivot - lead * pivot_row[j], prev)
+                if remainder:
+                    raise ArithmeticError("inexact division in the Bareiss pass")
         prev = pivot
     kernel = [-row[n] for row in a] + [prev]
     minors = [LaurentPoly.zero()] * width
     for q, c in enumerate(perm):
-        minors[c] = kernel[q] if sign * (-1) ** (n + c) > 0 else -kernel[q]
+        minors[c] = _unpack(kernel[q] if sign * (-1) ** (n + c) > 0 else -kernel[q], size, sum(lows))
     return minors
+
+
+def _unpack(value: int, size: int, shift: int) -> LaurentPoly:
+    """t^shift times the polynomial whose value at t = 2^(8 size) is
+    ``value`` and whose coefficients lie below 2^(8 size - 1) in absolute
+    value."""
+    half = 1 << (8 * size - 1)
+    count = value.bit_length() // (8 * size) + 1  # the digits up to the top one
+    # half plus a balanced digit lies in [0, 2^(8 size)), so adding half to
+    # every digit carries nothing
+    halves = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    data = (value + halves).to_bytes(count * size, "little")
+    return LaurentPoly({k + shift: int.from_bytes(data[k * size:(k + 1) * size], "little") - half for k in range(count)})
 
 
 def fox_milnor_compose(f: LaurentPoly) -> NormalizedAlexander:

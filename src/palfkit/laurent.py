@@ -159,50 +159,6 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def exact_quotient(self, divisor: LaurentPoly) -> LaurentPoly:
-        """The q with ``q * divisor == self``, by long division from the top term.
-
-        Raises ZeroDivisionError for a zero divisor and ArithmeticError when
-        ``divisor`` does not divide ``self`` in Z[t, t^-1].
-
-        >>> t = LaurentPoly.t()
-        >>> print((t**3 - 1).shift(-2).exact_quotient(t - 1))
-        t^-2 + t^-1 + 1
-        >>> (1 + t**2).exact_quotient(t - 1)
-        Traceback (most recent call last):
-        ...
-        ArithmeticError: -1 + t does not divide 1 + t^2
-        """
-        if not divisor.coeffs:
-            raise ZeroDivisionError("division by the zero Laurent polynomial")
-        if not self.coeffs:
-            return LaurentPoly()
-        top = divisor.max_exponent
-        lead = divisor.coeffs[top]
-        lower = [(e, c) for e, c in divisor.coeffs.items() if e != top]
-        # an exact quotient has no term below t^floor
-        floor = self.min_exponent - divisor.min_exponent
-        r = dict(self.coeffs)
-        q: dict[int, int] = {}
-        # the quotient term t^k clears the remainder's term t^(k + top)
-        for k in range(self.max_exponent - top, floor - 1, -1):
-            rk = r.pop(k + top, 0)
-            if not rk:
-                continue
-            c, rem = divmod(rk, lead)
-            if rem:
-                raise ArithmeticError(f"{divisor} does not divide {self}")
-            q[k] = c
-            for e, d in lower:
-                x = r.get(e + k, 0) - c * d
-                if x:
-                    r[e + k] = x
-                else:
-                    del r[e + k]
-        if r:
-            raise ArithmeticError(f"{divisor} does not divide {self}")
-        return LaurentPoly._trusted(q)
-
     # -- structure ----------------------------------------------------------
 
     @property

@@ -1,3 +1,4 @@
+import doctest
 import random
 
 import pytest
@@ -119,6 +120,105 @@ def test_column_choice_independence():
         checked += 1
 
 
+def _exact_quotient(p, divisor):
+    """The q with ``q * divisor == p``, by long division from the top term.
+
+    Raises ZeroDivisionError for a zero divisor and ArithmeticError when
+    ``divisor`` does not divide ``p`` in Z[t, t^-1].
+
+    >>> t = LaurentPoly.t()
+    >>> print(_exact_quotient((t**3 - 1).shift(-2), t - 1))
+    t^-2 + t^-1 + 1
+    >>> _exact_quotient(1 + t**2, t - 1)
+    Traceback (most recent call last):
+    ...
+    ArithmeticError: -1 + t does not divide 1 + t^2
+    """
+    if not divisor:
+        raise ZeroDivisionError("division by the zero Laurent polynomial")
+    if not p:
+        return LaurentPoly()
+    top = divisor.max_exponent
+    lead = divisor[top]
+    lower = [(e, c) for e, c in divisor.coeffs.items() if e != top]
+    # an exact quotient has no term below t^floor
+    floor = p.min_exponent - divisor.min_exponent
+    r = dict(p.coeffs)
+    q = {}
+    # the quotient term t^k clears the remainder's term t^(k + top)
+    for k in range(p.max_exponent - top, floor - 1, -1):
+        rk = r.pop(k + top, 0)
+        if not rk:
+            continue
+        c, rem = divmod(rk, lead)
+        if rem:
+            raise ArithmeticError(f"{divisor} does not divide {p}")
+        q[k] = c
+        for e, d in lower:
+            x = r.get(e + k, 0) - c * d
+            if x:
+                r[e + k] = x
+            else:
+                del r[e + k]
+    if r:
+        raise ArithmeticError(f"{divisor} does not divide {p}")
+    return LaurentPoly(q)
+
+
+def test_exact_quotient_examples():
+    runner = doctest.DocTestRunner()
+    globs = {"LaurentPoly": LaurentPoly, "_exact_quotient": _exact_quotient}
+    for example in doctest.DocTestFinder().find(_exact_quotient, globs=globs):
+        runner.run(example)
+    assert runner.summarize(verbose=False) == (0, 3)  # (failed, attempted)
+
+
+def test_exact_quotient_round_trip():
+    rng = random.Random(34)
+    checked = 0
+    while checked < 600:
+        q, d = random_laurent(rng), random_laurent(rng, max_terms=4, span=4, coeff=5)
+        if not d:
+            continue
+        quotient = _exact_quotient(q * d, d)
+        assert quotient == q
+        assert all(type(e) is int and type(c) is int and c for e, c in quotient.coeffs.items())
+        checked += 1
+
+
+def test_exact_quotient_rejects_inexact_and_zero():
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(1 + T ** 2, 1 - T)
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(3 * T, 2 * T)  # the coefficient does not divide
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(T, 1 + T)  # the divisor spans more exponents
+    rng = random.Random(35)
+    s = sp.Symbol("t")
+    checked = inexact = 0
+    while checked < 300:
+        d = random_laurent(rng, max_terms=4, span=4, coeff=5)
+        if not d:
+            continue
+        # a multiple of d plus a small error term, which is often zero
+        p = random_laurent(rng) * d + random_laurent(rng, max_terms=2, span=8, coeff=2)
+        try:
+            q = _exact_quotient(p, d)
+        except ArithmeticError:
+            # over Q, with the units t^k divided out, the quotient is not integral
+            quo, rem = sp.div(to_sympy(p.shift(-p.min_exponent)), to_sympy(d.shift(-d.min_exponent)), s)
+            assert rem != 0 or not all(c.is_integer for c in sp.Poly(quo, s).coeffs())
+            inexact += 1
+        else:
+            assert q * d == p
+        checked += 1
+    assert 100 < inexact < 300  # both outcomes are exercised
+    for p in (LaurentPoly.zero(), 1 + T):
+        with pytest.raises(ZeroDivisionError):
+            _exact_quotient(p, LaurentPoly.zero())
+    assert _exact_quotient(LaurentPoly.zero(), 1 + T) == LaurentPoly.zero()
+
+
 def _laurent_det(rows):
     # fraction-free Bareiss elimination, one determinant at a time: the
     # oracle for maximal_minors (every division is exact)
@@ -142,7 +242,7 @@ def _laurent_det(rows):
             row = a[i]
             lead = row[k]
             for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]).exact_quotient(prev)
+                row[j] = _exact_quotient(row[j] * pivot - lead * pivot_row[j], prev)
         prev = pivot
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
@@ -224,6 +324,62 @@ def test_maximal_minors_match_per_column_bareiss():
         nonzero += any(expected)
     assert min(kinds.values()) >= 60
     assert 300 < nonzero < 700  # full-rank and rank-deficient matrices both occur
+
+
+def _wide_entry(rng, scale):
+    # zero, or one or two terms with exponents in -6..6 (so gaps and negative
+    # exponents are common) and coefficients up to scale in magnitude
+    if rng.random() < 0.3:
+        return LaurentPoly.zero()
+    return LaurentPoly({rng.randrange(-6, 7): rng.randrange(-scale, scale + 1) for _ in range(rng.randint(1, 2))})
+
+
+def test_maximal_minors_match_per_column_bareiss_wide_range():
+    # maximal_minors packs each entry at t = 2^b with b from Hadamard's bound;
+    # coefficients up to 10^30 and sparse Laurent entries test that width
+    rng = random.Random(87)
+    kinds = {"zero_row": 0, "dependent_rows": 0, "zero_last_column": 0}
+    largest = nonzero = 0
+    for case in range(504):
+        n, kind = case % 7, case // 7 % 4
+        scale = (1, 10 ** 3, 10 ** 12, 10 ** 30)[case // 28 % 4]
+        rows = [[_wide_entry(rng, scale) for _ in range(n + 1)] for _ in range(n)]
+        if n and kind == 1:
+            rows[rng.randrange(n)] = [LaurentPoly.zero()] * (n + 1)
+            kinds["zero_row"] += 1
+        elif n >= 2 and kind == 2:
+            i, j = rng.sample(range(n), 2)
+            factor = _wide_entry(rng, scale) or T
+            rows[j] = [factor * x for x in rows[i]]
+            kinds["dependent_rows"] += 1
+        elif n and kind == 3:
+            for row in rows:
+                row[n] = LaurentPoly.zero()
+            kinds["zero_last_column"] += 1
+        expected = [_laurent_det([row[:c] + row[c + 1:] for row in rows]) for c in range(n + 1)]
+        assert maximal_minors(rows) == expected, rows
+        largest = max([largest] + [abs(c) for m in expected for c in m.coeffs.values()])
+        nonzero += any(expected)
+    assert min(kinds.values()) >= 90
+    assert largest > 10 ** 150  # minors far past any fixed digit width
+    assert 150 < nonzero < 504  # full-rank and rank-deficient matrices both occur
+
+
+def test_maximal_minors_reach_hadamards_bound():
+    # a Sylvester Hadamard matrix of +-7 t^(r_i + c_j) and a zero column:
+    # the minor without that column is +-16 * 7^4 t^s, exactly Hadamard's
+    # bound H = prod_i sqrt(sum_j ||a_ij||_1^2) = 38,416, which lies in
+    # [2^15, 2^16), so a digit width b with 2^b > H but 2^(b - 1) <= H
+    # would misread it
+    h2 = [[1, 1], [1, -1]]
+    h4 = [[x * y for x in a for y in b] for a in h2 for b in h2]
+    r, c = (3, -5, 0, 2), (-1, 4, -7, 6)
+    rows = [[LaurentPoly({r[i] + c[j]: 7 * h4[i][j]}) for j in range(4)] + [LaurentPoly.zero()] for i in range(4)]
+    minors = maximal_minors(rows)
+    assert minors == [_laurent_det([row[:k] + row[k + 1:] for row in rows]) for k in range(5)]
+    assert minors[:4] == [LaurentPoly.zero()] * 4
+    assert minors[4] == LaurentPoly({sum(r) + sum(c): 16 * 7 ** 4})
+    assert 2 ** 15 <= 16 * 7 ** 4 < 2 ** 16
 
 
 def test_maximal_minors_reject_a_non_maximal_shape():

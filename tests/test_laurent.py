@@ -85,50 +85,6 @@ def test_zero_terms_dropped():
     assert not (T - T)
 
 
-def test_exact_quotient_round_trip():
-    rng = random.Random(34)
-    checked = 0
-    while checked < 600:
-        q, d = random_laurent(rng), random_laurent(rng, max_terms=4, span=4, coeff=5)
-        if not d:
-            continue
-        assert (q * d).exact_quotient(d) == q
-        checked += 1
-
-
-def test_exact_quotient_rejects_inexact_and_zero():
-    with pytest.raises(ArithmeticError):
-        (1 + T ** 2).exact_quotient(1 - T)
-    with pytest.raises(ArithmeticError):
-        (3 * T).exact_quotient(2 * T)  # the coefficient does not divide
-    with pytest.raises(ArithmeticError):
-        T.exact_quotient(1 + T)  # the divisor spans more exponents
-    rng = random.Random(35)
-    s = sp.Symbol("t")
-    checked = inexact = 0
-    while checked < 300:
-        d = random_laurent(rng, max_terms=4, span=4, coeff=5)
-        if not d:
-            continue
-        # a multiple of d plus a small error term, which is often zero
-        p = random_laurent(rng) * d + random_laurent(rng, max_terms=2, span=8, coeff=2)
-        try:
-            q = p.exact_quotient(d)
-        except ArithmeticError:
-            # over Q, with the units t^k divided out, the quotient is not integral
-            quo, rem = sp.div(to_sympy(p.shift(-p.min_exponent)), to_sympy(d.shift(-d.min_exponent)), s)
-            assert rem != 0 or not all(c.is_integer for c in sp.Poly(quo, s).coeffs())
-            inexact += 1
-        else:
-            assert q * d == p
-        checked += 1
-    assert 100 < inexact < 300  # both outcomes are exercised
-    for p in (LaurentPoly.zero(), 1 + T):
-        with pytest.raises(ZeroDivisionError):
-            p.exact_quotient(LaurentPoly.zero())
-    assert LaurentPoly.zero().exact_quotient(1 + T) == LaurentPoly.zero()
-
-
 def test_constant_hashes_like_its_integer():
     three = LaurentPoly({0: 3})
     assert three == 3 and hash(three) == hash(3)
@@ -161,10 +117,7 @@ def test_ring_results_are_canonical():
         q = random_laurent(rng)
         if case % 3 == 0:
             q = random_laurent(rng, max_terms=2) - p  # p + q cancels most terms
-        results = [p + q, p - q, p * q, -p, p.shift(rng.randrange(-4, 5)), p.reciprocal()]
-        if q:
-            results.append((p * q).exact_quotient(q))
-        for r in results:
+        for r in (p + q, p - q, p * q, -p, p.shift(rng.randrange(-4, 5)), p.reciprocal()):
             assert 0 not in r.coeffs.values()
             assert all(type(e) is int and type(c) is int for e, c in r.coeffs.items())
             assert r == LaurentPoly(dict(r.coeffs))

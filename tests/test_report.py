@@ -310,6 +310,22 @@ def test_cli_casson(capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
+def test_cli_casson_prints_an_answer_longer_than_the_int_string_limit(capsys):
+    # every literal is within CPython's 4,300-digit limit, but the answer
+    # N^2 has 8,000 digits; it is printed exactly and the limit stays as set
+    n = 10 ** 4000 - 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc = cli.main(["casson", "--delta", f"{n}*t^-1 + 1 - {2 * n} + {n}*t", "--m", str(n)])
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert out == "9" * 3999 + "8" + "0" * 3999 + "1\n"
+
+
 def test_cli_twist(capsys):
     assert cli.main(["twist", "--surface", "S(0,4)", "--expr", "Tb"]) == 0
     out = capsys.readouterr().out
