@@ -83,7 +83,8 @@ MAX_HOLES = 1000
 
 # Names and integers are ASCII only; any other character, a non-ASCII letter
 # or digit included, falls through to the unnamed ``\S`` branch and is
-# refused as an unexpected character.
+# refused as an unexpected character.  Whitespace (``\s``, the characters
+# ``str.isspace`` accepts) matches no branch, so ``finditer`` skips it.
 _TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<punct>[()|,;{}/^*+\-])|\S")
 
 
@@ -105,23 +106,11 @@ def _tokenize(text: str) -> list[_Token]:
     # last character, on a line of its own after a trailing line break.
     lines = (text + " ").splitlines()
     for lineno, line in enumerate(lines, start=1):
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(line, pos)
-            assert m is not None
-            chunk = m.group()
-            col = pos + 1
-            if m.lastgroup in ("name", "int"):
-                kind = m.lastgroup
-            elif m.lastgroup == "punct":
-                kind = chunk
-            else:
+        for m in _TOKEN.finditer(line):
+            kind, chunk, col = m.lastgroup, m.group(), m.start() + 1
+            if kind is None:
                 raise ParseError(f"unexpected character {chunk!r}", lineno, col)
-            tokens.append(_Token(kind, chunk, lineno, col))
-            pos = m.end()
+            tokens.append(_Token(chunk if kind == "punct" else kind, chunk, lineno, col))
     tokens.append(_Token("end", "", len(lines), len(lines[-1])))
     return tokens
 

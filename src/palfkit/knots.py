@@ -5,11 +5,12 @@ formula.
 Each entry of the abelianized Fox matrix is
 ``abelianize(fox_derivative(r, j), weights)``; the group-ring terms are
 prefixes of the reduced relator, taken as slices without re-validation.
-All k maximal minors of the (k-1) x k matrix come from one
-fraction-free Gauss-Jordan pass (O(k^3) operations for all of them
-together), run over Z by Kronecker substitution: each entry becomes one
-integer, its value at t = 2^b with b set by Hadamard's bound, and each
-minor is read back from its base-2^b digits.
+All k maximal minors of the (k-1) x k matrix come from the one
+fraction-free Gauss-Jordan pass of :func:`palfkit.intmatrix.maximal_minors`
+(O(k^3) operations for all of them together), run over Z by Kronecker
+substitution: each entry becomes one integer, its value at t = 2^b with b
+set by Hadamard's bound, and each minor is read back from its base-2^b
+digits.
 
 The Casson invariant of a homology sphere is a plain integer here;
 ``casson_surgery`` implements lambda(M + (1/m) K) = lambda(M) + (m/2) Delta''(1)
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import intmatrix
 from .groupring import abelianize, fox_derivative
 from .laurent import LaurentPoly
 from .presentation import Presentation
@@ -124,24 +126,17 @@ def maximal_minors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
     """Every maximal minor of an n x (n + 1) matrix over Z[t, t^-1]: entry c
     is the determinant of ``rows`` without column c, sign included.
 
-    One fraction-free Gauss-Jordan pass (Bareiss's update, applied above the
-    pivot as well as below, every division exact) brings the matrix, its
-    columns permuted by ``perm``, to the form [d*I | v].  Then
-    x = (-v, d) spans the kernel, and by Cramer's rule the minor without
-    column perm[q] is sgn(perm) (-1)^(n + perm[q]) x_q.  The pivot of step p
-    is the first nonzero entry of row p among the columns not yet used; if
-    there is none, row p depends on the rows above it and every minor is 0.
-
-    The pass runs over Z, by Kronecker substitution.  Row i is divided by
-    t^(m_i), m_i its least exponent, and each entry is replaced by its value
-    at t = 2^b, b a multiple of 8.  Every entry the pass makes is, up to
-    sign, a minor of that polynomial matrix.  On |t| = 1 such a minor has
-    modulus at most H = prod_i sqrt(sum_j ||a_ij||_1^2) by Hadamard's
-    inequality (each factor is at least 1, no row being zero), and no
-    coefficient exceeds the maximum modulus.  As 2^(b - 1) > H, no nonzero
-    entry evaluates to 0: the pivots are those of the pass over
-    Z[t, t^-1], every division is exact, and each minor is read back from
-    its balanced base-2^b digits, times t^(m_0 + ... + m_(n-1)).
+    The minors come from :func:`palfkit.intmatrix.maximal_minors`, run over
+    Z by Kronecker substitution.  Row i is divided by t^(m_i), m_i its least
+    exponent, and each entry is replaced by its value at t = 2^b, b a
+    multiple of 8.  Every entry the pass makes is, up to sign, a minor of
+    that polynomial matrix.  On |t| = 1 such a minor has modulus at most
+    H = prod_i sqrt(sum_j ||a_ij||_1^2) by Hadamard's inequality (each
+    factor is at least 1, no row being zero), and no coefficient exceeds the
+    maximum modulus.  As 2^(b - 1) > H, no nonzero entry evaluates to 0: the
+    pivots are those of the pass over Z[t, t^-1], every division is exact,
+    and each minor is read back from its balanced base-2^b digits, times
+    t^(m_0 + ... + m_(n-1)).
 
     >>> t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
     >>> [str(m) for m in maximal_minors([[zero, one, t], [one, t, zero]])]
@@ -161,35 +156,9 @@ def maximal_minors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
         square *= sum(sum(map(abs, entry.coeffs.values())) ** 2 for entry in row)
     # 2^(2(b - 1)) > H^2 once b - 1 >= bit_length(H^2) / 2; b = 8 * size
     size = ((square.bit_length() + 1) // 2 + 8) // 8
-    a = [[sum(c << 8 * size * (e - low) for e, c in entry.coeffs.items()) for entry in row]
-         for row, low in zip(rows, lows)]
-    perm = list(range(width))
-    sign = prev = 1
-    for p in range(n):
-        pivot_row = a[p]
-        q = next((q for q in range(p, width) if pivot_row[q]), None)
-        if q is None:
-            return [LaurentPoly.zero()] * width
-        if q != p:
-            for row in a:
-                row[p], row[q] = row[q], row[p]
-            perm[p], perm[q] = perm[q], perm[p]
-            sign = -sign
-        pivot = pivot_row[p]
-        for i, row in enumerate(a):
-            if i == p:
-                continue
-            lead = row[p]
-            for j in range(p + 1, width):
-                row[j], remainder = divmod(row[j] * pivot - lead * pivot_row[j], prev)
-                if remainder:
-                    raise ArithmeticError("inexact division in the Bareiss pass")
-        prev = pivot
-    kernel = [-row[n] for row in a] + [prev]
-    minors = [LaurentPoly.zero()] * width
-    for q, c in enumerate(perm):
-        minors[c] = _unpack(kernel[q] if sign * (-1) ** (n + c) > 0 else -kernel[q], size, sum(lows))
-    return minors
+    packed = [[sum(c << 8 * size * (e - low) for e, c in entry.coeffs.items()) for entry in row]
+              for row, low in zip(rows, lows)]
+    return [_unpack(minor, size, sum(lows)) for minor in intmatrix.maximal_minors(packed)]
 
 
 def _unpack(value: int, size: int, shift: int) -> LaurentPoly:

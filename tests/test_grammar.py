@@ -128,6 +128,61 @@ def test_non_ascii_letters_are_unexpected_characters():
         assert (exc.value.line, exc.value.column) == (line, column), text
 
 
+def _tokenize_by_hand(text):
+    # oracle for grammar._tokenize: the character-by-character scan it
+    # replaced, which skips str.isspace characters and matches one token at
+    # each other position
+    tokens = []
+    lines = (text + " ").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        pos = 0
+        while pos < len(line):
+            if line[pos].isspace():
+                pos += 1
+                continue
+            m = grammar._TOKEN.match(line, pos)
+            assert m is not None
+            chunk = m.group()
+            col = pos + 1
+            if m.lastgroup in ("name", "int"):
+                kind = m.lastgroup
+            elif m.lastgroup == "punct":
+                kind = chunk
+            else:
+                raise ParseError(f"unexpected character {chunk!r}", lineno, col)
+            tokens.append(grammar._Token(kind, chunk, lineno, col))
+            pos = m.end()
+    tokens.append(grammar._Token("end", "", len(lines), len(lines[-1])))
+    return tokens
+
+
+def _token_outcome(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+# pieces of tokenizer input: grammar punctuation, name and keyword pieces,
+# digits, every str.splitlines boundary and other Unicode whitespace, then the
+# characters no token accepts (non-ASCII letters and digits among them)
+_VALID_PIECES = (
+    list("()|,;{}/^*+-") + ["x", "Tg", "std", "apply", "S", "_", "a1", "t"] + list("0123456789") + ["42"]
+    + ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    + [" ", "\t", "\x1f", "\xa0", "\u3000"]
+)
+_INVALID_PIECES = ["\xe9", "\xdf", "\u03bb", "\xb2", "\u0663", "\uff11", "@", "."]
+
+
+def test_tokenize_matches_the_character_scan():
+    rng = random.Random(97)
+    for i in range(10_000):
+        # half the strings draw only valid pieces, so they tokenize in full
+        pieces = _VALID_PIECES + _INVALID_PIECES if i % 2 else _VALID_PIECES
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 16)))
+        assert _token_outcome(grammar._tokenize, text) == _token_outcome(_tokenize_by_hand, text), repr(text)
+
+
 def test_presentation_round_trip():
     rng = random.Random(91)
     for _ in range(300):

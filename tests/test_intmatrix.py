@@ -4,7 +4,7 @@ import pytest
 import sympy as sp
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from palfkit.intmatrix import IntMatrix, cokernel_invariants, det, kernel_rank, smith_normal_form
+from palfkit.intmatrix import IntMatrix, cokernel_invariants, det, kernel_rank, maximal_minors, smith_normal_form
 
 
 def random_matrix(rng, min_dim=1, max_dim=4, bound=5):
@@ -76,6 +76,45 @@ def test_det_against_sympy():
         m = IntMatrix([[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)])
         assert det(m) == int(sp.Matrix([list(r) for r in m.rows]).det())
     assert det(IntMatrix([], shape=(0, 0))) == 1
+
+
+def _minor_case(rng, i):
+    # an n x (n + 1) matrix, n = 0..6, entries small or up to 10^30 and often
+    # zero; case i % 5 adds a zero row, a dependent row, a zero first column
+    # (the first pivot is found by a column swap) or a zero last column
+    n = i % 7
+    bound = rng.choice((3, 10 ** 30))
+    rows = [[rng.randrange(-bound, bound + 1) if rng.random() < 0.7 else 0 for _ in range(n + 1)] for _ in range(n)]
+    kind = i % 5
+    if n and kind == 1:
+        rows[rng.randrange(n)] = [0] * (n + 1)
+    elif n > 1 and kind == 2:
+        j, k = rng.sample(range(n), 2)
+        c = rng.randrange(-bound, bound + 1)
+        rows[rng.randrange(n)] = [c * x + y for x, y in zip(rows[j], rows[k])]
+    elif kind == 3:
+        for row in rows:
+            row[0] = 0
+    elif kind == 4:
+        for row in rows:
+            row[n] = 0
+    return rows
+
+
+def test_maximal_minors_against_sympy():
+    rng = random.Random(44)
+    for i in range(560):
+        rows = _minor_case(rng, i)
+        n = len(rows)
+        expected = [int(sp.Matrix(n, n, [x for row in rows for x in row[:c] + row[c + 1:]]).det(method="bareiss"))
+                    for c in range(n + 1)]
+        assert maximal_minors(rows) == expected, rows
+
+
+def test_maximal_minors_leave_their_input_unchanged():
+    rows = [[0, 1, 2], [1, 2, 0]]
+    assert maximal_minors(rows) == [-4, -2, -1]
+    assert rows == [[0, 1, 2], [1, 2, 0]]
 
 
 def test_cokernel_invariants():

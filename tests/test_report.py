@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import subprocess
@@ -201,6 +202,58 @@ def test_cli_alexander_output_pinned(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[len(texts):] == [expected + "\n" for _, _, expected in dense]
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == ALEXANDER_STDOUT_SHA256
+
+
+PALF_STDOUT_SHA256 = "833be9d56b735dec0a4e17ae42b5ab679f39e946151ed39274356a3c10eb5bf1"
+
+
+def _std(run):
+    return "std{" + ",".join(map(str, run)) + "}"
+
+
+def _palf_pool_texts(seed):
+    # the perfbench palf pool for one seed, rebuilt here in pool order before
+    # its final shuffle: the grid of three-cycle inputs on S(0,4) (every word
+    # and power on each base), then 32 seeded short factorizations on each
+    # of S(0,4..7)
+    choices = list(itertools.product(("Tg Tb", "Tb Tg", "Tg Ta Tb", "Ta Tg"), (2, 3)))
+    bases = ((1, 2), (2, 3), (1, 2))
+    texts = [
+        "S(0,4); " + "; ".join(f"T apply(({w})^{k}, {_std(run)})" for (w, k), run in zip(cycles, bases))
+        for cycles in itertools.product(choices, repeat=len(bases))
+    ]
+    rng = random.Random(seed)
+    for holes in (4, 5, 6, 7):
+        runs = [tuple(range(i, j + 1)) for i in range(1, holes) for j in range(i, holes)]
+        for _ in range(32):
+            entries = []
+            for _ in range(rng.randint(1, holes + 2)):
+                run = rng.choice(runs)
+                if rng.random() < 0.5:
+                    curve = _std(run)
+                else:
+                    factors = " ".join(f"(T {_std(rng.choice(runs))})^{rng.choice((-3, -2, -1, 1, 2, 3))}"
+                                       for _ in range(rng.randint(1, 2)))
+                    curve = f"apply({factors}, {_std(run)})"
+                entries.append(f"T {curve}")
+            texts.append(f"S(0,{holes}); " + "; ".join(entries))
+    return texts
+
+
+def test_cli_palf_output_pinned(tmp_path, capsys):
+    # every printed field of `palf` and `palf --json` over the seed-1 palf
+    # pool, with the exit codes: any change to parsing, a field or its
+    # rendering changes this hash
+    texts = _palf_pool_texts(1)
+    assert len(texts) == 640
+    source = tmp_path / "input.palf"
+    digest = hashlib.sha256()
+    for text in texts:
+        source.write_text(text + "\n", encoding="utf-8")
+        for fmt in ([], ["--json"]):
+            status = cli.main(["palf", "--input", str(source)] + fmt)
+            digest.update(f"{status}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == PALF_STDOUT_SHA256
 
 
 def test_cli_parse_error_exit_two(capsys):
