@@ -26,15 +26,12 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
-# Largest accepted ``family --n-max``.  The words of row n cost O(n) letters
-# (gamma_n comes from its closed form) and so does ``Word.least_rotation`` in
-# the Tietze pass, but two per-row stages still cost O(n^2): the Fox rows of
-# ``alexander_from_presentation`` and the Laurent product in
-# ``fox_milnor_compose``.  So a report still costs roughly O(N^3):
-# ``build_family_report`` took 0.23 s at N = 60 and 1.23 s at N = 120 (median
-# of five, CPython 3.11.7, one core of a shared two-core Intel Xeon VM).  The
-# ceiling bounds a run's work; 500 is the largest report size the project sets
-# performance targets for.
+# Largest accepted ``family --n-max``: it bounds a run's work, and 500 is the
+# largest report size the project sets performance targets for.  Row n's Fox
+# rows cost O(n) interpreted steps plus C-level prefix slices, but the Laurent
+# product in ``fox_milnor_compose`` is O(n^2): ``build_family_report`` took
+# 0.17-0.19 s at N = 60 and 0.84 s at N = 120 (median of five, two runs,
+# CPython 3.11.7, one core of a shared two-core Intel Xeon VM).
 MAX_FAMILY_N = 500
 
 

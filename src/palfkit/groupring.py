@@ -136,14 +136,27 @@ def fox_derivative(word: Word, generator: int) -> GroupRingElement:
 
 
 def abelianize(element: GroupRingElement, weights: Sequence[int]) -> LaurentPoly:
-    """Ring homomorphism to Z[t, t^-1] sending each word to t^(weighted exponent sum)."""
+    """Ring homomorphism to Z[t, t^-1] sending each word to t^(weighted exponent
+    sum); a term extending the term before it adds only its new letters' sum.
+
+    >>> x, y = FreeGroup(2, ("x", "y")).generators()
+    >>> abelianize(fox_derivative(x * y * x * y.inverse(), 0), (1, 1))
+    LaurentPoly('1 + t^2')
+    >>> abelianize(GroupRingElement(x.group, {x * y: 1, y * y: -1}), (1, -1))
+    LaurentPoly('-t^-2 + 1')
+    """
     if len(weights) != element.group.rank:
         raise ValueError("need one weight per generator")
     image: dict[int, int] = {}
     for i, weight in enumerate(weights):
         image[i + 1], image[-i - 1] = weight, -weight
     out: dict[int, int] = {}
+    prev, e = (), 0
     for w, c in element.terms.items():
-        e = sum(map(image.__getitem__, w.letters))
+        letters, k = w.letters, len(prev)
+        if k and (len(letters) < k or letters[k - 1] != prev[-1] or letters[:k] != prev):
+            e = k = 0
+        e += sum(map(image.__getitem__, letters[k:]))
         out[e] = out.get(e, 0) + c
+        prev = letters
     return LaurentPoly(out)

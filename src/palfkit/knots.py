@@ -3,8 +3,8 @@ normalization, the ribbon product construction, and the Casson surgery
 formula.
 
 Each entry of the abelianized Fox matrix is
-``abelianize(fox_derivative(r, j), weights)``; the group-ring terms are
-prefixes of the reduced relator, taken as slices without re-validation.
+``abelianize(fox_derivative(r, j), weights)``, O(|r|) interpreted steps: its
+terms are unvalidated prefix slices of r, each extending the last.
 All k maximal minors of the (k-1) x k matrix come from the one
 fraction-free Gauss-Jordan pass of :func:`palfkit.intmatrix.maximal_minors`
 (O(k^3) operations for all of them together), run over Z by Kronecker

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_word
 from palfkit.groupring import GroupRingElement, abelianize, fox_derivative
+from palfkit.knots import ribbon_presentation
 from palfkit.laurent import LaurentPoly
 from palfkit.words import FreeGroup
 
@@ -106,6 +107,120 @@ def test_abelianized_fox_row_matches_one_pass_oracle():
         total = sum((row[j] * (one.shift(weights[j]) - 1) for j in range(rank)), LaurentPoly.zero())
         exponent = sum(w * e for w, e in zip(weights, r.exponent_vector()))
         assert total == one.shift(exponent) - 1
+
+
+def _abelianize_by_term(element, weights):
+    # the per-term loop: every term's weighted exponent sum from zero
+    image = {}
+    for i, weight in enumerate(weights):
+        image[i + 1], image[-i - 1] = weight, -weight
+    out = {}
+    for w, c in element.terms.items():
+        e = sum(map(image.__getitem__, w.letters))
+        out[e] = out.get(e, 0) + c
+    return LaurentPoly(out)
+
+
+def _reduced_letters(rng, rank, length):
+    letters = []
+    while len(letters) < length:
+        x = rng.choice([g for g in range(-rank, rank + 1) if g])
+        if not letters or x != -letters[-1]:
+            letters.append(x)
+    return letters
+
+
+def _false_neighbour(rng, rank, prev):
+    # a reduced word that shares prev's last letter at the same position but
+    # differs earlier, so only the full prefix comparison tells it apart
+    k = len(prev)
+    while True:
+        letters = _reduced_letters(rng, rank, k + rng.randrange(4))
+        letters[k - 1] = prev[k - 1]
+        if all(a != -b for a, b in zip(letters, letters[1:])) and tuple(letters[:k]) != prev:
+            return letters
+
+
+def _abelianize_cases(rng):
+    for n in (1, 2, 3, 7, 60, 120, 240, 480):
+        r = ribbon_presentation(n).relators[0]
+        yield fox_derivative(r, 0), (1, 1)
+        yield fox_derivative(r, 1), (1, 1)
+    for case in range(560):
+        kind = case % 7  # the long relators (case % 35 == 0) are plain derivatives
+        # a false neighbour needs two generators: in rank 1 a reduced word is
+        # fixed by its last letter
+        rank = rng.randrange(2 if kind > 4 else 1, 5)
+        group = FreeGroup(rank)
+        weights = [rng.randrange(-3, 4) for _ in range(rank)]
+        if case % 3 == 0:
+            weights[rng.randrange(rank)] = 0
+        length = rng.randrange(1000, 2001) if case % 35 == 0 else rng.randrange(1, 80)
+        r = group.word(_reduced_letters(rng, rank, length))
+        j = rng.randrange(rank)
+        d = fox_derivative(r, j)
+        if kind == 0:
+            yield d, weights
+        elif kind == 1:
+            # shuffled order: the terms form no chain
+            terms = list(d.terms.items())
+            rng.shuffle(terms)
+            yield GroupRingElement(group, dict(terms)), weights
+        elif kind == 2:
+            # a sum: one chain, a break, then a second chain
+            yield d + fox_derivative(random_word(rng, group, 40), rng.randrange(rank)), weights
+        elif kind == 3:
+            # products: a left factor keeps the chain (up to cancellation), a right one breaks it
+            u, v = random_word(rng, group, 20), random_word(rng, group, 20)
+            yield d * GroupRingElement.from_word(u, 2) + u * d - d * v, weights
+        elif kind == 4:
+            # cancellation: the product rule leaves d(u) after d(u r) - u d(r);
+            # a zero coefficient is dropped, and conjugate words cancel in the image
+            u = group.word(_reduced_letters(rng, rank, rng.randrange(40)))
+            yield fox_derivative(u * r, j) - u * d, weights
+            x = group.generator(rng.randrange(rank))
+            yield GroupRingElement(group, {r: 1, x: 0, x * r * x.inverse(): -1}), weights
+        else:
+            # prefix chains broken by a term that shares the last letter only
+            terms, prev = {}, tuple(_reduced_letters(rng, rank, rng.randrange(2, 12)))
+            terms[group.word(prev)] = rng.choice((-2, -1, 1, 3))
+            for _ in range(rng.randrange(1, 6)):
+                if rng.random() < 0.5:
+                    letters = _false_neighbour(rng, rank, prev)
+                else:
+                    letters = list(prev) + _reduced_letters(rng, rank, rng.randrange(1, 5))
+                word = group.word(letters)
+                terms[word] = terms.get(word, 0) + rng.choice((-1, 1, 2))
+                prev = word.letters
+            yield GroupRingElement(group, terms), weights
+
+
+def test_abelianize_matches_per_term_oracle():
+    assert abelianize(
+        GroupRingElement(F2, {F2.word([1, 2]): 1, F2.word([2, 2, 1]): 1}), (1, 2)
+    ) == LaurentPoly({3: 1, 5: 1})
+    count = 0
+    for element, weights in _abelianize_cases(random.Random(87)):
+        assert abelianize(element, weights) == _abelianize_by_term(element, weights)
+        count += 1
+    assert count >= 500
+
+
+def test_fox_derivative_terms_are_a_prefix_chain():
+    # abelianize adds only the new letters of a term that extends the one
+    # before it; fox_derivative inserts its terms in that order
+    rng = random.Random(88)
+    relators = [ribbon_presentation(n).relators[0] for n in (1, 7, 480)]
+    for _ in range(600):
+        rank = rng.randrange(1, 5)
+        relators.append(FreeGroup(rank).word(_reduced_letters(rng, rank, rng.randrange(1, 300))))
+    for r in relators:
+        for j in range(r.group.rank):
+            terms = [w.letters for w in fox_derivative(r, j).terms]
+            assert len(terms) == sum(abs(x) == j + 1 for x in r.letters)
+            for prev, term in zip([None] + terms, terms):
+                assert r.letters[:len(term)] == term
+                assert prev is None or len(term) > len(prev)
 
 
 def test_abelianize_examples():
