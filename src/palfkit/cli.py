@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Each call builds the parser anew, with only the subcommand named by its first
-argument; help, no arguments and an unknown name get the full parser.  The
-messages and exit status are those of the full parser either way.
+A well-formed call is read straight from the ``_COMMANDS`` table into the
+Namespace argparse would return (``_match``).  Every other argv (help,
+abbreviations, ``--``, repeated or unknown options, bad values, missing
+options) is declined and goes to the full argparse parser, built anew for the
+call, so all help, usage and error text and its exit status come from argparse.
 
 Exit status: 0 on success, 1 when a family verification fails, 2 on
 usage or parse errors.
@@ -15,7 +17,6 @@ import decimal
 import json
 import sys
 from pathlib import Path
-from typing import Iterable
 
 from .grammar import ParseError, parse_laurent, parse_mapping_class, parse_monodromy, parse_presentation, parse_surface
 from .knots import NormalizedAlexander, alexander_from_presentation, casson_surgery
@@ -118,31 +119,62 @@ _COMMANDS = {
 }
 
 
-def _build_parser(names: Iterable[str] = _COMMANDS) -> argparse.ArgumentParser:
-    """The top-level parser with a subparser for each of ``names``.
-
-    Without every subcommand, a metavar keeps all of them in the usage line of
-    top-level errors.  The full parser leaves it unset, as it also renames the
-    action in "invalid choice" and "required" errors."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="palfkit",
         description="Exact invariants of planar Lefschetz fibrations and the standard Mazur-type family.",
     )
-    every = "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=None if list(names) == list(_COMMANDS) else every)
-    for name in names:
-        _, help_text, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
     return parser
 
 
+def _match(argv: list[str]) -> argparse.Namespace | None:
+    """``_build_parser().parse_args(argv)`` for a well-formed call, else None.
+
+    Accepted: a subcommand name, then its exact long options, each at most
+    once, as ``--opt value`` or ``--opt=value`` (a store_true flag bare), with
+    no value starting with "-" or refused by the option's ``type``, and every
+    required option present.  Argparse reads such an argv the same way; a
+    missing option takes argparse's default, under argparse's dest."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows = dict(_COMMANDS[argv[0]][2])
+    values = {}
+    rest = iter(argv[1:])
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        options = rows.get(flag)
+        if options is None or flag in values:
+            return None
+        if options.get("action") == "store_true":
+            if eq:
+                return None
+            values[flag] = True
+            continue
+        value = value if eq else next(rest, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            values[flag] = options.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+    namespace = argparse.Namespace(command=argv[0])
+    for flag, options in rows.items():
+        if flag not in values and options.get("required"):
+            return None
+        default = options.get("default", False if options.get("action") == "store_true" else None)
+        setattr(namespace, flag[2:].replace("-", "_"), values.get(flag, default))
+    return namespace
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS).parse_args(argv)
+    args = _match(argv) or _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
     except (ParseError, ValueError, OSError) as exc:

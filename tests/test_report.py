@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -281,6 +284,10 @@ USAGE_ARGV = [
     ["casson", "--m", "1", "extra"],
     ["twist", "--surface", "S(0,4)"], ["twist", "--expr", "T std{1}", "--surface"],
     ["twist", "--surface", "S(0,4)", "--expr", "T", "std{1}"],
+    # declined by cli._match: a bad =value, a flag given a value, a repeated
+    # option, a value that starts with "-", "--" and an option as a value
+    ["family", "--n-max=x"], ["family", "--json=1", "--n-max", "2"], ["family", "--n-max", "2", "--n-max"],
+    ["palf", "--input", "-f"], ["alexander", "--", "x | x"], ["casson", "--delta", "t", "--m", "--lambda0", "1"],
 ]
 # errors in which the full parser calls the subcommand action "command"
 COMMAND_ERRORS = {
@@ -299,8 +306,9 @@ def _exit_and_output(run, capsys) -> tuple:
 
 @pytest.mark.parametrize("argv", USAGE_ARGV, ids=" ".join)
 def test_cli_usage_bytes_match_full_parser(argv, monkeypatch, capsys):
-    # cli.main may build only the parser a call needs; what it prints and its
-    # exit status must be those of the parser with every subcommand
+    # the matcher declines every argv that argparse answers itself, so what
+    # cli.main prints and its exit status are those of the full parser
+    assert cli._match(argv) is None
     expected = _exit_and_output(lambda: cli._build_parser().parse_args(argv), capsys)
     assert expected[0] in (0, 2)
     assert COMMAND_ERRORS.get(" ".join(argv), "") in expected[2]
@@ -308,6 +316,103 @@ def test_cli_usage_bytes_match_full_parser(argv, monkeypatch, capsys):
     # the python -m palfkit and console-script path reads sys.argv
     monkeypatch.setattr(sys, "argv", ["palfkit"] + argv)
     assert _exit_and_output(cli.main, capsys) == expected
+
+
+# option values for the argv corpus: the first list of each kind is read by
+# the option's type, the second holds values that argparse or the type refuses
+# and values that start with "-", which the matcher leaves to argparse
+INT_VALUES = (["2", "1_0", " 7 ", "\u0663"], ["", "9" * 5000, "x y", "a=b", "family", "-1", "-x", "--json"])
+TEXT_VALUES = (["x y | x", "S(0,4)", " t ", "", "a=b", "family", "T std{1}"], ["-1", "-x", "--json", "-"])
+
+
+def _argv_corpus(rng: random.Random, size: int):
+    """Seeded argv for every subcommand: well-formed, then sometimes mutated."""
+    names = list(cli._COMMANDS)
+    for _ in range(size):
+        name = rng.choice(names)
+        pairs = []
+        for flag, options in cli._COMMANDS[name][2]:
+            if not options.get("required") and rng.random() < 0.4 or rng.random() < 0.03:
+                continue
+            if options.get("action") == "store_true":
+                pairs.append([flag])
+                continue
+            good, bad = INT_VALUES if options.get("type") is int else TEXT_VALUES
+            value = rng.choice(good if rng.random() < 0.8 else bad)
+            pairs.append([f"{flag}={value}"] if rng.random() < 0.5 else [flag, value])
+        rng.shuffle(pairs)
+        argv = [name] + [token for pair in pairs for token in pair]
+        if rng.random() < 0.3:
+            flag = rng.choice([flag for flag, _ in cli._COMMANDS[name][2] if len(flag) > 3])
+            mutation = rng.choice([
+                [flag[:rng.randrange(3, len(flag))]], ["-h"], ["--"], ["--json=1"], ["extra"],
+                [flag, rng.choice(TEXT_VALUES[0] + INT_VALUES[0])],
+            ])
+            at = rng.randrange(1, len(argv) + 1)
+            argv[at:at] = mutation
+        yield argv
+
+
+def _typed(namespace) -> dict:
+    return {key: (type(value), value) for key, value in vars(namespace).items()}
+
+
+def test_cli_match_agrees_with_full_parser():
+    # the matcher returns argparse's Namespace or declines; it never accepts
+    # what argparse refuses, and it does match a good share of the corpus
+    parser = cli._build_parser()
+    matched = 0
+    corpus = list(_argv_corpus(random.Random(2014), 6000))
+    for argv in corpus:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                expected = parser.parse_args(argv)
+        except SystemExit:
+            expected = None
+        got = cli._match(argv)
+        if got is not None:
+            assert expected is not None and _typed(got) == _typed(expected), argv
+            matched += 1
+    assert matched >= 0.3 * len(corpus)
+
+
+def test_cli_well_formed_calls_build_no_parser(tmp_path, monkeypatch, capsys):
+    # the argv shapes the benchmark sends, and every subcommand with all of its
+    # options in both spellings, answer the same with argparse unusable
+    report = tmp_path / "report.json"
+    palf_input = str(Path(__file__).parent / "data" / "family3.palf")
+    full = {
+        "family": [["--n-max", "2"], ["--json"], ["--output", str(report)]],
+        "palf": [["--input", palf_input], ["--json"]],
+        "alexander": [["--presentation", "x y | (x y)^2 x (x y)^-2 y^-1"]],
+        "casson": [["--delta", "t^-1 - 1 + t"], ["--m", "2"], ["--lambda0", "5"]],
+        "twist": [["--surface", "S(0,4)"], ["--expr", "(Tg Tb)^2"]],
+    }
+    calls = [
+        ["family", "--n-max", "3", "--json"],
+        ["palf", "--input", palf_input, "--json"],
+        ["alexander", "--presentation", "x y | (x y)^2 x (x y)^-2 y^-1"],
+    ]
+    for name, pairs in full.items():
+        calls.append([name] + [token for pair in pairs for token in pair])
+        calls.append([name] + ["=".join(pair) for pair in pairs])
+
+    def run_all():
+        results = []
+        for argv in calls:
+            status = cli.main(argv)
+            results.append((status, capsys.readouterr().out, report.read_text() if report.exists() else None))
+            report.unlink(missing_ok=True)
+        return results
+
+    expected = run_all()
+    assert all(status == 0 for status, _, _ in expected)
+
+    def no_parser(*args, **kwargs):
+        raise AssertionError("a well-formed call built an argparse parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    assert run_all() == expected
 
 
 def test_cli_family_n_max_ceiling(monkeypatch, capsys):
