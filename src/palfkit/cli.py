@@ -29,9 +29,9 @@ EXIT_USAGE = 2
 
 # Largest accepted ``family --n-max``: it bounds a run's work, and 500 is the
 # largest report size the project sets performance targets for.  Row n's Fox
-# rows cost O(n) interpreted steps plus C-level prefix slices, but the Laurent
-# product in ``fox_milnor_compose`` is O(n^2): ``build_family_report`` took
-# 0.17-0.19 s at N = 60 and 0.84 s at N = 120 (median of five, two runs,
+# rows cost O(n) interpreted steps plus C-level prefix slices, and f(t) f(1/t)
+# is one packed integer product: ``build_family_report`` took 0.12-0.14 /
+# 0.53-0.55 / 2.5-2.8 s at N = 60 / 120 / 240 (medians of 5 / 5 / 3, two runs,
 # CPython 3.11.7, one core of a shared two-core Intel Xeon VM).
 MAX_FAMILY_N = 500
 

@@ -153,6 +153,12 @@ class _Parser:
     def at_end(self) -> bool:
         return self.current.kind == "end"
 
+    def finish(self, value):
+        """``value`` when every token is read, else an error at the first one left."""
+        if not self.at_end():
+            raise self.error(f"unexpected {self.current.text!r}")
+        return value
+
     def expect_int(self) -> int:
         """The value of an 'int' token; the one place a literal becomes an int."""
         tok = self.expect("int")
@@ -196,9 +202,7 @@ def parse_presentation(text: str) -> Presentation:
         while parser.current.kind == ",":
             parser.advance()
             relators.append(_parse_word(parser, group, index))
-    if not parser.at_end():
-        raise parser.error(f"unexpected {parser.current.text!r}")
-    return Presentation(group, relators)
+    return parser.finish(Presentation(group, relators))
 
 
 def _parse_word(parser: _Parser, group: FreeGroup, index: dict[str, int]) -> Word:
@@ -307,26 +311,18 @@ def parse_monodromy(text: str) -> PALFSpec:
         if parser.at_end():
             break
         cycles.append(_parse_entry_curve(parser, surface))
-    if not parser.at_end():
-        raise parser.error(f"unexpected {parser.current.text!r}")
-    return PALFSpec(surface, cycles)
+    return parser.finish(PALFSpec(surface, cycles))
 
 
 def parse_surface(text: str) -> PlanarSurface:
     parser = _Parser(text)
-    surface = _parse_surface(parser)
-    if not parser.at_end():
-        raise parser.error(f"unexpected {parser.current.text!r}")
-    return surface
+    return parser.finish(_parse_surface(parser))
 
 
 def parse_mapping_class(text: str, surface: PlanarSurface) -> MappingClass:
     """Parse a mapping-class expression such as ``(Tg Tb)^2`` on a surface."""
     parser = _Parser(text)
-    phi = _parse_mapclass(parser, surface)
-    if not parser.at_end():
-        raise parser.error(f"unexpected {parser.current.text!r}")
-    return phi
+    return parser.finish(_parse_mapclass(parser, surface))
 
 
 def _parse_surface(parser: _Parser) -> PlanarSurface:

@@ -7,10 +7,8 @@ Each entry of the abelianized Fox matrix is
 terms are unvalidated prefix slices of r, each extending the last.
 All k maximal minors of the (k-1) x k matrix come from the one
 fraction-free Gauss-Jordan pass of :func:`palfkit.intmatrix.maximal_minors`
-(O(k^3) operations for all of them together), run over Z by Kronecker
-substitution: each entry becomes one integer, its value at t = 2^b with b
-set by Hadamard's bound, and each minor is read back from its base-2^b
-digits.
+(O(k^3) operations for all of them together), run over Z on the entries
+packed by :mod:`palfkit.laurent`, the digit width set by Hadamard's bound.
 
 The Casson invariant of a homology sphere is a plain integer here;
 ``casson_surgery`` implements lambda(M + (1/m) K) = lambda(M) + (m/2) Delta''(1)
@@ -24,7 +22,7 @@ from typing import Sequence
 
 from . import intmatrix
 from .groupring import abelianize, fox_derivative
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _pack, _unpack
 from .presentation import Presentation
 from .words import FreeGroup
 
@@ -126,17 +124,15 @@ def maximal_minors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
     """Every maximal minor of an n x (n + 1) matrix over Z[t, t^-1]: entry c
     is the determinant of ``rows`` without column c, sign included.
 
-    The minors come from :func:`palfkit.intmatrix.maximal_minors`, run over
-    Z by Kronecker substitution.  Row i is divided by t^(m_i), m_i its least
-    exponent, and each entry is replaced by its value at t = 2^b, b a
-    multiple of 8.  Every entry the pass makes is, up to sign, a minor of
-    that polynomial matrix.  On |t| = 1 such a minor has modulus at most
+    :func:`palfkit.intmatrix.maximal_minors` runs on row i divided by
+    t^(m_i), m_i its least exponent, packed at t = 2^b by ``laurent._pack``.
+    Each entry the pass makes is, up to sign, a minor of that polynomial
+    matrix.  On |t| = 1 such a minor has modulus at most
     H = prod_i sqrt(sum_j ||a_ij||_1^2) by Hadamard's inequality (each
     factor is at least 1, no row being zero), and no coefficient exceeds the
     maximum modulus.  As 2^(b - 1) > H, no nonzero entry evaluates to 0: the
     pivots are those of the pass over Z[t, t^-1], every division is exact,
-    and each minor is read back from its balanced base-2^b digits, times
-    t^(m_0 + ... + m_(n-1)).
+    and ``_unpack`` reads each minor back, times t^(m_0 + ... + m_(n-1)).
 
     >>> t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
     >>> [str(m) for m in maximal_minors([[zero, one, t], [one, t, zero]])]
@@ -156,22 +152,8 @@ def maximal_minors(rows: list[list[LaurentPoly]]) -> list[LaurentPoly]:
         square *= sum(sum(map(abs, entry.coeffs.values())) ** 2 for entry in row)
     # 2^(2(b - 1)) > H^2 once b - 1 >= bit_length(H^2) / 2; b = 8 * size
     size = ((square.bit_length() + 1) // 2 + 8) // 8
-    packed = [[sum(c << 8 * size * (e - low) for e, c in entry.coeffs.items()) for entry in row]
-              for row, low in zip(rows, lows)]
+    packed = [[_pack(entry.coeffs, size, low) for entry in row] for row, low in zip(rows, lows)]
     return [_unpack(minor, size, sum(lows)) for minor in intmatrix.maximal_minors(packed)]
-
-
-def _unpack(value: int, size: int, shift: int) -> LaurentPoly:
-    """t^shift times the polynomial whose value at t = 2^(8 size) is
-    ``value`` and whose coefficients lie below 2^(8 size - 1) in absolute
-    value."""
-    half = 1 << (8 * size - 1)
-    count = value.bit_length() // (8 * size) + 1  # the digits up to the top one
-    # half plus a balanced digit lies in [0, 2^(8 size)), so adding half to
-    # every digit carries nothing
-    halves = int.from_bytes(half.to_bytes(size, "little") * count, "little")
-    data = (value + halves).to_bytes(count * size, "little")
-    return LaurentPoly({k + shift: int.from_bytes(data[k * size:(k + 1) * size], "little") - half for k in range(count)})
 
 
 def fox_milnor_compose(f: LaurentPoly) -> NormalizedAlexander:

@@ -5,6 +5,13 @@ lists terms in ascending exponent order, e.g. ``t^-1 - 2 + t``.  The
 constructor takes exponents and coefficients that are exactly integers
 and raises TypeError on any other value; ring operations build their
 results without that check.
+
+Products and the minors of :mod:`palfkit.knots` share one encoding, a ring
+map Z[t] -> Z: ``_pack`` evaluates t^-low p at t = 2^w, w = 8 size, and
+``_unpack`` reads v back exactly if every |c_k| < h = 2^(w - 1): then
+v + sum_k h 2^(w k) has the digits c_k + h in [0, 2^w) with no carry, and
+the top nonzero digit K has |v| > 2^(w K) - (h - 1)(2^(w K) - 1) / (2^w - 1)
+> 2^(w K - 1), so bit_length(v) // w + 1 digits include it.
 """
 
 from __future__ import annotations
@@ -135,28 +142,28 @@ class LaurentPoly:
         return other - self
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
+        """One multiply of the packed factors, so the cost grows with the degree
+        span, not with terms^2: (1 + t^(10^6)) (1 - t) packs a million digits."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly._trusted(out)
+        bound = sum(map(abs, self.coeffs.values())) * sum(map(abs, other.coeffs.values()))  # >= |p q coefficients|
+        size = (bound.bit_length() + 8) // 8  # 2^(8 size - 1) > bound
+        low, other_low = min(self.coeffs, default=0), min(other.coeffs, default=0)
+        value = _pack(self.coeffs, size, low) * _pack(other.coeffs, size, other_low)
+        return _unpack(value, size, low + other_low)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
             raise ValueError("negative powers of a general Laurent polynomial are not defined")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        # square-and-multiply from the top bit of n, so no square is wasted
+        result = self if n else LaurentPoly.one()
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- structure ----------------------------------------------------------
@@ -211,3 +218,18 @@ class LaurentPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _pack(coeffs: Mapping[int, int], size: int, low: int) -> int:
+    """t^-low p at t = 2^(8 size), p the polynomial of ``coeffs``, no exponent below ``low``."""
+    return sum(c << 8 * size * (e - low) for e, c in coeffs.items())
+
+
+def _unpack(value: int, size: int, shift: int) -> LaurentPoly:
+    """t^shift p, where ``value`` packs p with every |coefficient| < 2^(8 size - 1)."""
+    half = 1 << (8 * size - 1)
+    count = value.bit_length() // (8 * size) + 1  # the digits up to the top one
+    halves = int.from_bytes(half.to_bytes(size, "little") * count, "little")  # carries nothing
+    data = (value + halves).to_bytes(count * size, "little")
+    return LaurentPoly._trusted({k + shift: int.from_bytes(data[k * size:(k + 1) * size], "little") - half
+                                 for k in range(count)})

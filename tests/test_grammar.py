@@ -278,6 +278,26 @@ def test_parse_surface():
         parse_surface("S(0,0)")
 
 
+def test_trailing_input_error_of_each_entry_point():
+    # each parser names the first token it could not use and points at it
+    s = PlanarSurface(4)
+    cases = [
+        (parse_presentation, "x y | x y,\n  y x )", "unexpected ')'", 2, 7),
+        (parse_presentation, "x | x ; x", "unexpected ';'", 1, 7),
+        (parse_monodromy, "S(0,4); T std{1}\n T std{2}", "unexpected 'T'", 2, 2),
+        (parse_monodromy, "S(0,4) |", "unexpected '|'", 1, 8),
+        (parse_surface, "S(0,4)\n\n  (", "unexpected '('", 3, 3),
+        (parse_surface, "S(0,4);", "unexpected ';'", 1, 7),
+        (lambda text: parse_mapping_class(text, s), "Tg Tb\n)^2", "unexpected ')'", 2, 1),
+        (lambda text: parse_mapping_class(text, s), "(Tg Tb)^2 ;", "unexpected ';'", 1, 11),
+    ]
+    for parse, text, message, line, column in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} (line {line}, column {column})", repr(text)
+        assert (exc.value.line, exc.value.column) == (line, column), repr(text)
+
+
 def test_generator_names_may_collide_with_keywords():
     p = parse_presentation("t std | t std t^-1 std^-1")
     assert p.rank == 2 and len(p.relators) == 1

@@ -4,7 +4,7 @@ import pytest
 import sympy as sp
 
 from conftest import from_sympy, random_laurent, to_sympy
-from palfkit.laurent import LaurentPoly
+from palfkit.laurent import LaurentPoly, _pack, _unpack
 
 T = LaurentPoly.t()
 
@@ -65,10 +65,69 @@ def test_value_at_one_and_structure():
 def test_shift_and_power():
     p = 1 + T
     assert p.shift(3) == LaurentPoly({3: 1, 4: 1})
-    assert p ** 0 == LaurentPoly.one()
-    assert p ** 3 == p * p * p
+    for base in (p, LaurentPoly({-2: 3, 0: -1, 5: 2}), LaurentPoly({0: -1}), LaurentPoly.zero()):
+        expected = LaurentPoly.one()
+        for k in range(13):
+            assert base ** k == expected, (base, k)
+            expected = expected * base
     with pytest.raises(ValueError):
         p ** -1
+
+
+def _dict_product(p, q):
+    # oracle for LaurentPoly.__mul__: the term-by-term convolution that the
+    # packed product replaced
+    out = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+def _wide_laurent(rng):
+    # exponents drawn sparsely from -30..30 (some factors empty), coefficients
+    # of both signs up to 10^25 in absolute value
+    max_terms, scale = rng.choice((1, 3, 8, 30, 61)), rng.choice((0, 1, 3, 12, 25))
+    return random_laurent(rng, max_terms=max_terms, span=30, coeff=10 ** scale)
+
+
+def test_product_matches_the_dict_convolution():
+    rng = random.Random(37)
+    for _ in range(600):
+        p, q = _wide_laurent(rng), _wide_laurent(rng)
+        assert p * q == _dict_product(p, q), (p, q)
+        k = rng.choice((0, 1, -1, 7, -(10 ** 25), rng.randint(-(10 ** 30), 10 ** 30)))
+        assert k * p == p * k == _dict_product(LaurentPoly({0: k}), p), (k, p)
+    # a monomial product reaches the coefficient bound ||p||_1 ||q||_1, here
+    # on both sides of every digit-width boundary
+    for bits in range(1, 130):
+        for c in (2 ** bits - 1, 2 ** bits, 2 ** bits + 1):
+            for p, q in ((LaurentPoly({-3: c}), LaurentPoly({4: -c})), (LaurentPoly({0: -c}), LaurentPoly({0: -c}))):
+                assert p * q == _dict_product(p, q), (p, q)
+
+
+def test_pack_unpack_round_trip():
+    rng = random.Random(38)
+    for _ in range(300):
+        p = _wide_laurent(rng)
+        top = max(map(abs, p.coeffs.values()), default=0)
+        low = p.min_exponent if p else 0
+        for size in ((top.bit_length() + 8) // 8, (top.bit_length() + 8) // 8 + rng.randrange(1, 4)):
+            slack = rng.randrange(0, 5)  # low may lie below every exponent
+            assert _unpack(_pack(p.coeffs, size, low - slack), size, low - slack) == p, (p, size)
+    # every digit at the edge of its balanced range, -2^(8 size - 1) < c < 2^(8 size - 1)
+    for size in (1, 2, 3):
+        edge = 2 ** (8 * size - 1) - 1
+        p = LaurentPoly({e: edge if e % 3 else -edge for e in range(-5, 6)})
+        assert _unpack(_pack(p.coeffs, size, -5), size, -5) == p
+
+
+def test_sparse_product_over_a_wide_span():
+    # two terms 10^5 apart: the product packs the whole span, so this checks
+    # the result only
+    p = LaurentPoly({-7: -3, 0: 1, 100_000: 1})
+    q = LaurentPoly({0: 2, 99_999: -1, -100_000: 5})
+    assert p * q == _dict_product(p, q)
 
 
 def test_printing_canonical():
