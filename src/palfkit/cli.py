@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .grammar import ParseError, parse_laurent, parse_mapping_class, parse_monodromy, parse_presentation, parse_surface
+from .grammar import parse_laurent, parse_mapping_class, parse_monodromy, parse_presentation, parse_surface
 from .knots import NormalizedAlexander, alexander_from_presentation, casson_surgery
 from .lefschetz import mazur_family
 from .report import build_family_report, palf_summary, report_to_json, report_to_text
@@ -34,6 +34,12 @@ EXIT_USAGE = 2
 # 0.53-0.55 / 2.5-2.8 s at N = 60 / 120 / 240 (medians of 5 / 5 / 3, two runs,
 # CPython 3.11.7, one core of a shared two-core Intel Xeon VM).
 MAX_FAMILY_N = 500
+
+# Largest accepted sum over relators r of |r| (|r| + 1) / 2 for ``alexander``,
+# the letters of the prefixes its Fox derivatives hold: ``x y | x^k y^-k`` at 8
+# / 18 / 32 million took 0.24 / 0.62 / 1.10 s and 62 / 120 / 200 MB peak RSS in
+# process on the VM above.  The ribbon relator at n = 480 has 1,848,003.
+MAX_FOX_PREFIX_LETTERS = 20_000_000
 
 
 def _emit(text: str, output: Path | None) -> None:
@@ -71,6 +77,9 @@ def _cmd_palf(args) -> int:
 
 def _cmd_alexander(args) -> int:
     presentation = parse_presentation(args.presentation)
+    letters = sum(len(r) * (len(r) + 1) // 2 for r in presentation.relators)
+    if letters > MAX_FOX_PREFIX_LETTERS:
+        raise ValueError(f"the Fox derivatives would hold {letters} prefix letters, more than {MAX_FOX_PREFIX_LETTERS}")
     poly = alexander_from_presentation(presentation, [1] * presentation.rank)
     print(poly)
     return EXIT_OK
@@ -177,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _match(argv) or _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

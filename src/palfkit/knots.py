@@ -164,11 +164,9 @@ def fox_milnor_compose(f: LaurentPoly) -> NormalizedAlexander:
 
 
 def casson_surgery(lambda_m: int, m: int, delta: NormalizedAlexander) -> int:
-    """Casson invariant after (1/m)-surgery: lambda_M + m * Delta''(1) / 2."""
-    d2 = delta.second_derivative_at_one()
-    if d2 % 2:
-        raise ValueError("Delta''(1) must be even for a symmetric polynomial")
-    return lambda_m + m * (d2 // 2)
+    """Casson invariant after (1/m)-surgery: lambda_M + m * Delta''(1) / 2,
+    where the halving is exact: Delta is symmetric, so Delta''(1) = sum_(e > 0) 2 c_e e^2."""
+    return lambda_m + m * (delta.second_derivative_at_one() // 2)
 
 
 # -- the ribbon family -------------------------------------------------------

@@ -6,9 +6,9 @@ constructor takes exponents and coefficients that are exactly integers
 and raises TypeError on any other value; ring operations build their
 results without that check.
 
-Products and the minors of :mod:`palfkit.knots` share one encoding, a ring
-map Z[t] -> Z: ``_pack`` evaluates t^-low p at t = 2^w, w = 8 size, and
-``_unpack`` reads v back exactly if every |c_k| < h = 2^(w - 1): then
+Products, powers and the minors of :mod:`palfkit.knots` share one encoding,
+a ring map Z[t] -> Z: ``_pack`` evaluates t^-low p at t = 2^w, w = 8 size,
+and ``_unpack`` reads v back exactly if every |c_k| < h = 2^(w - 1): then
 v + sum_k h 2^(w k) has the digits c_k + h in [0, 2^w) with no carry, and
 the top nonzero digit K has |v| > 2^(w K) - (h - 1)(2^(w K) - 1) / (2^w - 1)
 > 2^(w K - 1), so bit_length(v) // w + 1 digits include it.
@@ -156,15 +156,15 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
+        """One power of the packed polynomial, digits sized as in ``__mul__``."""
+        if not isinstance(n, int):
+            raise TypeError(f"exponent {n!r} is not an int")
         if n < 0:
             raise ValueError("negative powers of a general Laurent polynomial are not defined")
-        # square-and-multiply from the top bit of n, so no square is wasted
-        result = self if n else LaurentPoly.one()
-        for bit in bin(n)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        bound = sum(map(abs, self.coeffs.values())) ** n  # >= |p^n coefficients|
+        size = (bound.bit_length() + 8) // 8
+        low = min(self.coeffs, default=0)
+        return _unpack(_pack(self.coeffs, size, low) ** n, size, low * n)
 
     # -- structure ----------------------------------------------------------
 

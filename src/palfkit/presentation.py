@@ -191,20 +191,14 @@ def simplify_presentation(p: Presentation, budget: int = 200) -> SimplifyResult:
     group = p.group
     relators = _normalized(p.relators)
     moves = 0
-    while moves < budget:
-        if group.rank == 0:
-            break
+    while moves < budget and group.rank:
         step = _eliminate(group, relators)
-        if step is not None:
-            group, relators = step
-            relators = _normalized(relators)
-            moves += 1
-            continue
-        shorter = _shorten_by_product(relators)
-        if shorter is not None:
-            relators = _normalized(shorter)
-            moves += 1
-            continue
-        break
+        if step is None:
+            shorter = _shorten_by_product(relators)
+            if shorter is None:
+                break
+            step = group, shorter
+        group, relators = step[0], _normalized(step[1])
+        moves += 1
     verdict = TRIVIAL if group.rank == 0 else UNKNOWN
     return SimplifyResult(verdict, Presentation(group, relators), moves)

@@ -176,10 +176,12 @@ def standard_curve(
 class MappingClass:
     """An automorphism of the surface group with a stored inverse.
 
-    Construction verifies that the two image lists are mutually inverse
-    and that the outer boundary word ``delta`` maps to a conjugate of
-    itself; both are required of any homeomorphism-induced map in this
-    model.
+    Construction checks, for ``phi`` the map of ``images`` and ``psi`` that
+    of ``inverse_images``, that phi psi = id on every generator and that the
+    outer boundary word ``delta`` maps to a conjugate of itself, as any
+    homeomorphism-induced map does in this model.  phi psi = id makes ``phi``
+    onto; free groups of finite rank are Hopfian (Nielsen, Malcev), so
+    ``phi`` is an automorphism and psi phi = id follows without a second pass.
     """
 
     __slots__ = ("surface", "images", "inverse_images")
@@ -193,12 +195,9 @@ class MappingClass:
         for w in images + inverse_images:
             if w.group != surface.group:
                 raise ValueError("image word does not live on the surface")
-        for i in range(rank):
-            gen = surface.group.generator(i)
-            if substitute(inverse_images[i], images) != gen:
+        for w, gen in zip(inverse_images, surface.group.generators()):
+            if substitute(w, images) != gen:
                 raise ValueError("stored inverse is not a left inverse")
-            if substitute(images[i], inverse_images) != gen:
-                raise ValueError("stored inverse is not a right inverse")
         if not are_conjugate(substitute(surface.delta, images), surface.delta):
             raise ValueError("map does not preserve the boundary word up to conjugacy")
         self.surface = surface
@@ -307,16 +306,9 @@ def dehn_twist(curve: Curve) -> MappingClass:
 
     c = curve.word
     c_inv = c.inverse()
-    images = []
-    inverse_images = []
-    for i in range(surface.rank):
-        gen = surface.group.generator(i)
-        if holes[0] <= i + 1 <= holes[-1]:
-            images.append(c * gen * c_inv)
-            inverse_images.append(c_inv * gen * c)
-        else:
-            images.append(gen)
-            inverse_images.append(gen)
+    gens = list(enumerate(surface.group.generators(), 1))
+    images = [c * gen * c_inv if holes[0] <= i <= holes[-1] else gen for i, gen in gens]
+    inverse_images = [c_inv * gen * c if holes[0] <= i <= holes[-1] else gen for i, gen in gens]
     return MappingClass(surface, images, inverse_images)
 
 

@@ -515,6 +515,21 @@ def test_surgery_additivity_in_m():
         assert casson_surgery(lam, m1 + m2, delta) - casson_surgery(lam, m1, delta) == casson_surgery(0, m2, delta)
 
 
+def test_symmetric_second_derivative_is_even():
+    # p''(1) = sum_(e > 0) 2 c_e e^2 for symmetric p, any constant term
+    # included, so casson_surgery's halving is exact
+    rng = random.Random(84)
+    for _ in range(600):
+        half = {e: rng.randint(-10 ** 6, 10 ** 6) for e in rng.sample(range(1, 40), rng.randrange(0, 8))}
+        p = LaurentPoly({**half, **{-e: c for e, c in half.items()}, 0: rng.randint(-10 ** 6, 10 ** 6)})
+        assert p.is_symmetric()
+        assert p.second_derivative_at_one() % 2 == 0
+        assert p.second_derivative_at_one() == sum(2 * c * e * e for e, c in half.items())
+        delta = NormalizedAlexander(p - (p.value_at_one() - 1))  # constant term fixed so that p(1) = 1
+        lam, m = rng.randint(-50, 50), rng.randint(-50, 50)
+        assert 2 * casson_surgery(lam, m, delta) == 2 * lam + m * delta.second_derivative_at_one()
+
+
 # -- the ribbon family ------------------------------------------------------------
 
 def test_ribbon_presentation_shape():

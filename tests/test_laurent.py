@@ -65,13 +65,18 @@ def test_value_at_one_and_structure():
 def test_shift_and_power():
     p = 1 + T
     assert p.shift(3) == LaurentPoly({3: 1, 4: 1})
-    for base in (p, LaurentPoly({-2: 3, 0: -1, 5: 2}), LaurentPoly({0: -1}), LaurentPoly.zero()):
+    bases = (p, LaurentPoly({-2: 3, 0: -1, 5: 2}), LaurentPoly({-3: -7, 1: 10**12, 4: 1}), LaurentPoly({0: -1}),
+             LaurentPoly.zero())
+    for base in bases:
         expected = LaurentPoly.one()
-        for k in range(13):
+        for k in range(41):
             assert base ** k == expected, (base, k)
             expected = expected * base
     with pytest.raises(ValueError):
         p ** -1
+    for n in (2.0, 0.5, "2", None):
+        with pytest.raises(TypeError):
+            p ** n
 
 
 def _dict_product(p, q):

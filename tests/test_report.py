@@ -437,6 +437,29 @@ def test_cli_family_n_max_ceiling(monkeypatch, capsys):
     assert asked == [500]
 
 
+def test_cli_alexander_fox_ceiling(monkeypatch, capsys):
+    # 22 characters whose Fox derivatives would hold 5,000,050,000 prefix
+    # letters: refused before the library is called
+    def must_not_run(presentation, weights):
+        raise AssertionError("Fox matrix built before its size was checked")
+
+    monkeypatch.setattr(cli, "alexander_from_presentation", must_not_run)
+    text = "x y | x^50000 y^-50000"
+    assert len(text) == 22
+    start = time.perf_counter()
+    assert cli.main(["alexander", "--presentation", text]) == 2
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err == f"error: the Fox derivatives would hold 5000050000 prefix letters, more than {cli.MAX_FOX_PREFIX_LETTERS}\n"
+
+    # the largest pinned input, the ribbon relator at n = 480, is far inside
+    asked = []
+    monkeypatch.setattr(cli, "alexander_from_presentation", lambda p, weights: asked.append(p) or LaurentPoly.one())
+    assert cli.main(["alexander", "--presentation", "x y | (x y)^480 x (x y)^-480 y^-1"]) == 0
+    assert [len(r) for r in asked[0].relators] == [1922]
+    assert 10 * 1922 * 1923 // 2 < cli.MAX_FOX_PREFIX_LETTERS
+
+
 def test_cli_alexander_dense_presentation(capsys):
     # k = 11 generators a0..a10 and 10 relators: relator i is a0 ... a10
     # followed by the inverses of all 11 generators starting at a(i+1); 1,054

@@ -18,7 +18,7 @@ from palfkit.surface import (
     standard_curve,
     twist_of_image,
 )
-from palfkit.words import are_conjugate, substitute
+from palfkit.words import Word, are_conjugate, substitute
 
 S4 = PlanarSurface(4)
 X1, X2, X3 = S4.group.generators()
@@ -160,14 +160,66 @@ def test_power_matches_repeated_compose():
             assert result.inverse_images == expected.inverse_images
 
 
+def _two_sided_inverse(phi):
+    # oracle: phi(psi(xi)) = xi and psi(phi(xi)) = xi for every generator;
+    # MappingClass checks only the first, the second following because free
+    # groups of finite rank are Hopfian
+    gens = phi.surface.group.generators()
+    return all(substitute(w, phi.images) == g for w, g in zip(phi.inverse_images, gens)) and all(
+        substitute(w, phi.inverse_images) == g for w, g in zip(phi.images, gens)
+    )
+
+
 def test_twist_invertibility_and_delta_conjugacy():
+    # seeded composites (with a half twist) and their powers, built by trusted
+    # composition: both compositions are the identity, delta keeps its
+    # conjugacy class, and the one inverse pass accepts them
     rng = random.Random(62)
     for _ in range(300):
-        surface = PlanarSurface(rng.randrange(3, 6))
-        phi = random_twist_product(rng, surface)
-        for i, g in enumerate(surface.group.generators()):
-            assert substitute(phi.inverse_images[i], phi.images) == g
-        assert are_conjugate(phi(surface.delta), surface.delta)
+        surface = PlanarSurface(rng.randrange(3, 8))
+        phi = compose(random_twist_product(rng, surface), half_twist(surface, rng.randrange(1, surface.rank)))
+        for f in (phi, power(phi, rng.choice((-2, 2)))):
+            assert _two_sided_inverse(f), f
+            assert are_conjugate(f(surface.delta), surface.delta)
+            assert MappingClass(surface, f.images, f.inverse_images) == f
+
+
+def test_every_run_twist_and_half_twist_is_two_sided():
+    maps = []
+    for holes in range(2, 9):
+        surface = PlanarSurface(holes)
+        runs = [(lo, hi) for lo in range(1, holes) for hi in range(lo, holes)]
+        maps += [dehn_twist(standard_curve(surface, tuple(range(lo, hi + 1)))) for lo, hi in runs]
+        maps += [half_twist(surface, i) for i in range(1, surface.rank)]
+    assert len(maps) == 84 + 21
+    assert all(_two_sided_inverse(phi) for phi in maps)
+
+
+def test_corrupted_inverse_is_rejected():
+    # any change to the inverse list of an automorphism breaks phi psi = id,
+    # and the one inverse pass sees it
+    rng = random.Random(71)
+    rejected = [0, 0, 0]
+    for case in range(450):
+        surface = PlanarSurface(rng.randrange(3, 8))
+        phi = compose(random_twist_product(rng, surface), half_twist(surface, rng.randrange(1, surface.rank)))
+        corrupt = list(phi.inverse_images)
+        i, j = rng.sample(range(surface.rank), 2)
+        kind = case % 3
+        if kind == 0:  # an image taken from another map
+            corrupt[i] = random_twist_product(rng, surface).inverse_images[i]
+        elif kind == 1:  # two images swapped
+            corrupt[i], corrupt[j] = corrupt[j], corrupt[i]
+        else:  # the outer conjugation of an image dropped
+            letters = corrupt[i].letters
+            if len(letters) > 2 and letters[0] == -letters[-1]:
+                corrupt[i] = Word(surface.group, letters[1:-1])
+        if corrupt == list(phi.inverse_images):
+            continue
+        with pytest.raises(ValueError, match="stored inverse"):
+            MappingClass(surface, phi.images, corrupt)
+        rejected[kind] += 1
+    assert sum(rejected) >= 300 and min(rejected) >= 50, rejected
 
 
 def test_disjoint_and_nested_twists_commute():
@@ -262,9 +314,7 @@ def test_image_twists_satisfy_mapping_class_invariants():
     for _ in range(100):
         phi = random_twist_product(rng, S4)
         t = twist_of_image(phi, gamma)
-        for i, g in enumerate(S4.group.generators()):
-            assert substitute(t.inverse_images[i], t.images) == g
-            assert substitute(t.images[i], t.inverse_images) == g
+        assert _two_sided_inverse(t)
         assert are_conjugate(t(S4.delta), S4.delta)
 
 
