@@ -22,7 +22,7 @@ from .lefschetz import (
     mazur_family,
     pi1_presentation,
 )
-from .presentation import simplify_presentation
+from .presentation import UNKNOWN, simplify_presentation
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,17 @@ def homology_summary(result) -> str:
 
 def palf_summary(spec: PALFSpec) -> dict:
     """The PALF-side invariants of a monodromy, in the order ``palfkit palf``
-    prints them; a family report row takes its PALF columns from here."""
+    prints them; a family report row takes its PALF columns from here.
+
+    The Tietze search runs only when H1 = 0.  ``pi1_presentation(spec)``
+    abelianizes to H1 of the total space, the group ``homology`` has just
+    read off the Smith normal form, and ``simplify_presentation`` says
+    ``TRIVIAL`` only for a trivial group.  So when H1 != 0 its verdict is
+    ``UNKNOWN`` whatever the search does, and that verdict is returned
+    without the search."""
     ok_allowable, witness = allowable(spec)
     hom = homology(spec)
-    verdict = simplify_presentation(pi1_presentation(spec)).verdict
+    verdict = simplify_presentation(pi1_presentation(spec)).verdict if hom.h1 == (0, ()) else UNKNOWN
     return {
         "surface": str(spec.fiber),
         "cycles": len(spec.cycles),

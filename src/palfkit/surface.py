@@ -197,7 +197,7 @@ class MappingClass:
                 raise ValueError("image word does not live on the surface")
         for w, gen in zip(inverse_images, surface.group.generators()):
             if substitute(w, images) != gen:
-                raise ValueError("stored inverse is not a left inverse")
+                raise ValueError("stored inverse images do not invert the map")
         if not are_conjugate(substitute(surface.delta, images), surface.delta):
             raise ValueError("map does not preserve the boundary word up to conjugacy")
         self.surface = surface

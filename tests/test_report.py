@@ -16,9 +16,10 @@ import pytest
 import palfkit.cli as cli
 import palfkit.grammar as grammar
 import palfkit.knots as knots
-from palfkit.grammar import MAX_HOLES, MAX_NESTING, MAX_WORD_LETTERS
+from palfkit.grammar import MAX_HOLES, MAX_NESTING, MAX_WORD_LETTERS, parse_monodromy
 from palfkit.laurent import LaurentPoly
-from palfkit.lefschetz import PALFSpec, mazur_family
+from palfkit.lefschetz import PALFSpec, homology, mazur_family, pi1_presentation
+from palfkit.presentation import simplify_presentation
 from palfkit.report import (
     build_family_report,
     palf_summary,
@@ -113,6 +114,71 @@ def test_row_palf_columns_are_the_palf_summary():
             summary["chi"],
             summary["pi1"],
         )
+
+
+# std{1,2}, std{2,3} and a curve about holes 1 and 3: a square boundary map of
+# determinant 2, so H1 = Z/2
+TORSION_H1_TEXT = "S(0,4); T std{1,2}; T std{2,3}; T std{1,3/o}"
+
+
+def _random_curve(rng, inner):
+    holes = sorted(rng.sample(range(1, inner + 1), rng.randint(1, inner)))
+    sides = "".join(rng.choice("ou") for h in range(holes[0] + 1, holes[-1]) if h not in holes)
+    return "std{" + ",".join(map(str, holes)) + ("/" + sides if sides else "") + "}"
+
+
+def _random_run(rng, inner):
+    i, j = sorted(rng.sample(range(1, inner + 2), 2))
+    return _std(range(i, j))
+
+
+def _random_palf_text(rng):
+    # S(0,3..7); curves about any set of inner holes, some moved by twist
+    # powers about runs; often exactly one cycle per generator, a square
+    # boundary map, so that H1 = 0 and torsion H1 both occur
+    holes = rng.randint(3, 7)
+    inner = holes - 1
+    entries = []
+    for _ in range(rng.choice((inner, rng.randint(1, inner + 2)))):
+        curve = _random_curve(rng, inner)
+        if rng.random() < 0.5:
+            factors = " ".join(f"(T {_random_run(rng, inner)})^{rng.choice((-2, -1, 1, 2))}"
+                               for _ in range(rng.randint(1, 2)))
+            curve = f"apply({factors}, {curve})"
+        entries.append(f"T {curve}")
+    return f"S(0,{holes}); " + "; ".join(entries)
+
+
+def test_pi1_verdict_equals_the_full_search():
+    # palf_summary skips the Tietze search when H1 != 0; its verdict is still
+    # the one the full search gives
+    rng = random.Random(1984)
+    texts = [TORSION_H1_TEXT] + [_random_palf_text(rng) for _ in range(600)]
+    seen = set()
+    for text in texts:
+        spec = parse_monodromy(text)
+        h1 = homology(spec).h1
+        searched = simplify_presentation(pi1_presentation(spec)).verdict
+        assert palf_summary(spec)["pi1"] == searched, text
+        if h1 == (0, ()):
+            seen.add(("zero", searched))
+        else:
+            seen.add(("torsion" if h1[1] else "free", searched))
+    assert {("zero", "Trivial"), ("free", "Unknown"), ("torsion", "Unknown")} <= seen
+    assert homology(parse_monodromy(TORSION_H1_TEXT)).h1 == (0, (2,))
+
+
+def test_pi1_search_runs_only_when_h1_is_zero(monkeypatch):
+    def no_search(presentation, *args, **kwargs):
+        raise AssertionError("Tietze search called")
+
+    monkeypatch.setattr("palfkit.report.simplify_presentation", no_search)
+    for text in (TORSION_H1_TEXT, "S(0,4); T std{1,2}; T std{2,3}; T std{1,2}"):
+        assert homology(parse_monodromy(text)).h1 != (0, ())
+        assert palf_summary(parse_monodromy(text))["pi1"] == "Unknown"
+    assert homology(mazur_family(3)).h1 == (0, ())
+    with pytest.raises(AssertionError, match="Tietze search called"):
+        palf_summary(mazur_family(3))
 
 
 def test_text_rendering_mentions_conclusions():

@@ -120,7 +120,7 @@ def test_twist_direction_calibration():
 
 def test_mapping_class_validation():
     gens = S4.group.generators()
-    with pytest.raises(ValueError):  # not an inverse
+    with pytest.raises(ValueError, match="^stored inverse images do not invert the map$"):
         MappingClass(S4, gens, [g.inverse() for g in gens])
     # swapping generator images without conjugation breaks delta
     images = [gens[1], gens[0], gens[2]]
