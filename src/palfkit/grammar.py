@@ -375,11 +375,15 @@ def _parse_curve(parser: _Parser, surface: PlanarSurface) -> Curve:
     if tok.text == "apply":
         with parser.nested():
             parser.expect("(")
-            phi = _parse_mapclass(parser, surface)
+            factors = _parse_factors(parser, surface)
             parser.expect(",")
             curve = _parse_curve(parser, surface)
             parser.expect(")")
-        return apply(phi, curve)
+        if len(factors) == 1:
+            # one powered factor F^k: k steps on the curve word, F^k not composed
+            [(phi, exponent)] = factors
+            return apply(phi, curve, exponent)
+        return apply(_product(factors), curve)
     raise ParseError(f"unknown curve form {tok.text!r}", tok.line, tok.column)
 
 
@@ -405,6 +409,11 @@ def _decode_sides(parser: _Parser, holes: list[int], tok: _Token) -> dict[int, s
 
 
 def _parse_mapclass(parser: _Parser, surface: PlanarSurface) -> MappingClass:
+    return _product(_parse_factors(parser, surface))
+
+
+def _parse_factors(parser: _Parser, surface: PlanarSurface) -> list[tuple[MappingClass, int]]:
+    """The factors of a ``mapclass``, left to right, each with its exponent."""
     factors = []
     while True:
         tok = parser.current
@@ -423,13 +432,20 @@ def _parse_mapclass(parser: _Parser, surface: PlanarSurface) -> MappingClass:
             base = dehn_twist(_parse_curve(parser, surface))
         else:
             break
+        exponent = 1
         if parser.current.kind == "^":
             parser.advance()
-            base = power(base, parser.parse_int())
-        factors.append(base)
+            exponent = parser.parse_int()
+        factors.append((base, exponent))
     if not factors:
         raise parser.error("expected a mapping-class expression")
-    result = factors[0]
-    for factor in factors[1:]:
+    return factors
+
+
+def _product(factors: list[tuple[MappingClass, int]]) -> MappingClass:
+    """The composite of powered factors, the rightmost applied first."""
+    powers = [base if exponent == 1 else power(base, exponent) for base, exponent in factors]
+    result = powers[0]
+    for factor in powers[1:]:
         result = compose(result, factor)
     return result

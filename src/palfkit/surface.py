@@ -266,16 +266,34 @@ def power(phi: MappingClass, n: int) -> MappingClass:
     return result
 
 
-def apply(phi: MappingClass, target: Curve) -> Curve:
-    """Image of a curve, which remembers its provenance; the image of a
-    word ``w`` is ``phi(w)``."""
+def apply(phi: MappingClass, target: Curve, n: int = 1) -> Curve:
+    """Image of a curve under ``phi^n``, which remembers its provenance.
+
+    For a target that is not itself an image, the word is |n| applications
+    of ``phi`` (of ``phi.inverse()`` when n < 0) to the target word, and the
+    provenance is ``ImagePosition(phi, target, n)``: phi^n is composed only
+    when it is read.  phi is injective, so an orbit that repeats first comes
+    back to the target word; when step i does, |n| mod i more steps finish
+    it, and a map fixing the curve costs one step whatever n is.  An image
+    target is flattened: its provenance becomes
+    ``compose(phi^n, target.provenance.composite)`` applied to its base.
+    """
     if target.surface != phi.surface:
         raise ValueError("curve does not live on the mapping class surface")
     if isinstance(target.provenance, ImagePosition):
-        provenance = ImagePosition(compose(phi, target.provenance.composite), target.provenance.base)
-    else:
-        provenance = ImagePosition(phi, target)
-    return Curve(phi.surface, phi(target.word), provenance)
+        phi_n = power(phi, n)
+        provenance = ImagePosition(compose(phi_n, target.provenance.composite), target.provenance.base)
+        return Curve(phi.surface, phi_n(target.word), provenance)
+    step = phi if n >= 0 else phi.inverse()
+    steps = abs(n)
+    start = word = target.word
+    for i in range(1, steps + 1):
+        word = step(word)
+        if word == start:
+            for _ in range(steps % i):
+                word = step(word)
+            break
+    return Curve(phi.surface, word, ImagePosition(phi, target, n))
 
 
 def _contiguous_run(holes: Sequence[int]) -> bool:

@@ -228,8 +228,11 @@ def test_parse_empty_monodromy():
 
 
 def test_family_file_matches_generator():
-    text = "S(0,4); T std{1}; T std{1,2}; T apply((Tg Tb)^3, std{2,3})"
-    assert parse_monodromy(text) == mazur_family(3)
+    # apply(F^n, c) steps F over the curve word n times; the closed form W_n
+    # of mazur_family checks every step count
+    for n in range(1, 41):
+        text = f"S(0,4); T std{{1}}; T std{{1,2}}; T apply((Tg Tb)^{n}, std{{2,3}})"
+        assert parse_monodromy(text) == mazur_family(n)
 
 
 def test_side_flag_words():

@@ -283,6 +283,67 @@ def test_apply_on_curves_tracks_class_and_provenance():
     assert again.provenance.composite == compose(phi, phi)
 
 
+def _twist_power_product(rng, surface):
+    # one twist power, or two twists of one sign: run curves meet at most
+    # twice, so such a product grows words linearly and the composed oracle
+    # phi^4 stays short.  Two crossing twists of opposite signs are
+    # pseudo-Anosov, and their phi^4 images reach thousands of letters.
+    phi = MappingClass.identity(surface)
+    for exponent in rng.choice(((-2,), (-1,), (1,), (2,), (-1, -1), (1, 1))):
+        phi = compose(phi, power(random_run_twist(rng, surface), exponent))
+    return phi
+
+
+def test_apply_power_matches_composed_power():
+    # differential: apply(phi, c, k) takes |k| steps on the curve word, and
+    # must agree with apply(power(phi, k), c) on standard targets and on
+    # image targets (the flattening path)
+    rng = random.Random(72)
+    cases = 0
+    for trial in range(64):
+        surface = PlanarSurface(4 + trial % 4)
+        phi = _twist_power_product(rng, surface)
+        lo = rng.randrange(1, surface.holes)
+        target = standard_curve(surface, tuple(range(lo, rng.randrange(lo, surface.holes) + 1)))
+        if trial // 4 % 2:
+            target = apply(random_twist_product(rng, surface, 2), target)
+        for k in range(-4, 5):
+            stepped, composed = apply(phi, target, k), apply(power(phi, k), target)
+            assert stepped.word == composed.word
+            assert stepped.provenance.composite == composed.provenance.composite
+            assert dehn_twist(stepped) == dehn_twist(composed)
+            cases += 1
+    assert cases >= 500
+
+
+def test_apply_cuts_the_orbit_at_its_first_return(monkeypatch):
+    # steps are counted, not timed: a fixed curve costs one step and a
+    # period-2 orbit at most three, however large the exponent
+    t1 = dehn_twist(standard_curve(S4, (1,)))
+    gamma = standard_curve(S4, (2, 3))
+    s3 = PlanarSurface(3)
+    y1, y2 = s3.group.generators()
+    swap = MappingClass(s3, (y2, y1), (y2, y1))  # delta = y1 y2 goes to y2 y1
+    c1 = standard_curve(s3, (1,))
+
+    steps = []
+    call = MappingClass.__call__
+
+    def counted(self, word):
+        steps.append(word)
+        assert len(steps) <= 3, "the orbit was not cut at its first return"
+        return call(self, word)
+
+    monkeypatch.setattr(MappingClass, "__call__", counted)
+    assert apply(t1, gamma, 10**20).word == gamma.word
+    assert len(steps) == 1
+    for n in (10**20 + 1, -(10**20 + 1)):
+        steps.clear()
+        image = apply(swap, c1, n)
+        assert image.word == y2
+        assert image.provenance.exponent == n
+
+
 # -- image twists and the lantern -------------------------------------------
 
 def test_twist_of_image_identity():
