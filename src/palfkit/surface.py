@@ -10,7 +10,11 @@ word is ``delta = x1 x2 ... x(r-1)``.
 
 A positive Dehn twist about a curve in standard position enclosing a
 consecutive run of holes ``i..j`` sends each enclosed generator ``xk``
-to ``c xk c^-1`` with ``c = xi ... xj`` and fixes the rest.  Curves
+to ``c xk c^-1`` with ``c = xi ... xj`` and fixes the rest.  When the
+curve word is exactly ``xi ... xj``, :func:`dehn_twist` builds this map
+without the :class:`MappingClass` check: it is an automorphism fixing
+``delta`` letter for letter, which its docstring proves; any other word
+paired with a run provenance is checked as before.  Curves
 enclosing a non-consecutive hole set are not twistable in this direct
 form (the conjugation recipe is no longer induced by a homeomorphism);
 build their twists through :func:`twist_of_image` instead, e.g. from a
@@ -182,6 +186,11 @@ class MappingClass:
     homeomorphism-induced map does in this model.  phi psi = id makes ``phi``
     onto; free groups of finite rank are Hopfian (Nielsen, Malcev), so
     ``phi`` is an automorphism and psi phi = id follows without a second pass.
+
+    Three builders skip the check, each on an argument: :func:`compose`
+    and :meth:`inverse` inherit validity from their operands, and
+    :func:`dehn_twist` about a curve whose word is exactly the run
+    ``xa ... xb`` is valid by the proof in its docstring.
     """
 
     __slots__ = ("surface", "images", "inverse_images")
@@ -211,8 +220,8 @@ class MappingClass:
 
     @classmethod
     def _trusted(cls, surface: PlanarSurface, images: tuple[Word, ...], inverse_images: tuple[Word, ...]) -> MappingClass:
-        # skip validation: used only where validity is inherited, e.g. when
-        # composing or inverting maps that were themselves validated
+        # skip validation: used only where validity is inherited (composing
+        # or inverting valid maps) or proved (the run twists of dehn_twist)
         self = object.__new__(cls)
         self.surface = surface
         self.images = images
@@ -307,6 +316,24 @@ def dehn_twist(curve: Curve) -> MappingClass:
     consecutive run (conjugation by the curve word is then the honest
     twist action) and mapping-class images of supported curves, for
     which the twist is the conjugated twist of the base curve.
+
+    A run twist is built without the :class:`MappingClass` check when the
+    curve word is exactly ``c = xa ... xb`` for its run ``a..b``.  Then phi
+    sends ``xi`` to ``c xi c^-1`` for a <= i <= b and fixes the rest, and
+    psi, the stored inverse, conjugates the same generators by ``c^-1``:
+
+    * phi(c) = (c xa c^-1) ... (c xb c^-1) = c (xa ... xb) c^-1
+      = c c c^-1 = c, and likewise psi(c) = c^-1 c c = c.
+    * So phi(psi(xi)) = phi(c)^-1 phi(xi) phi(c) = c^-1 c xi c^-1 c = xi
+      for a <= i <= b, and psi(phi(xi)) = xi the same way; both fix the
+      other generators.  Conjugation by c^-1 is a two-sided inverse.
+    * ``delta = x1 ... x(a-1) . c . x(b+1) ... x(r-1)``, and phi fixes
+      each of the three factors, so phi(delta) = delta letter for letter.
+
+    Those are the two facts the constructor would check.  ``Curve`` and
+    ``StandardPosition`` are public, so a caller can pair a run provenance
+    with any word (a rotation, the inverse, a conjugate of the run); such
+    a curve is checked by the constructor as before.
     """
     surface = curve.surface
     prov = curve.provenance
@@ -322,11 +349,14 @@ def dehn_twist(curve: Curve) -> MappingClass:
             f"direct twists support consecutive hole runs only, not {holes}; use twist_of_image"
         )
 
+    a, b = holes[0], holes[-1]
     c = curve.word
     c_inv = c.inverse()
     gens = list(enumerate(surface.group.generators(), 1))
-    images = [c * gen * c_inv if holes[0] <= i <= holes[-1] else gen for i, gen in gens]
-    inverse_images = [c_inv * gen * c if holes[0] <= i <= holes[-1] else gen for i, gen in gens]
+    images = [c * gen * c_inv if a <= i <= b else gen for i, gen in gens]
+    inverse_images = [c_inv * gen * c if a <= i <= b else gen for i, gen in gens]
+    if a >= 1 and c.letters == tuple(range(a, b + 1)):
+        return MappingClass._trusted(surface, tuple(images), tuple(inverse_images))
     return MappingClass(surface, images, inverse_images)
 
 

@@ -3,12 +3,15 @@ import random
 import pytest
 
 from conftest import random_run_twist, random_twist_product, random_word
+from palfkit.grammar import parse_monodromy
+from palfkit.lefschetz import mazur_family
 from palfkit.surface import (
     OVER,
     UNDER,
     Curve,
     MappingClass,
     PlanarSurface,
+    StandardPosition,
     UnsupportedCurveError,
     apply,
     compose,
@@ -193,6 +196,91 @@ def test_every_run_twist_and_half_twist_is_two_sided():
         maps += [half_twist(surface, i) for i in range(1, surface.rank)]
     assert len(maps) == 84 + 21
     assert all(_two_sided_inverse(phi) for phi in maps)
+
+
+def _checked_run_twist(curve):
+    # oracle: the direct twist about a run-provenance curve, built through the
+    # checking constructor whatever its word
+    holes = curve.provenance.holes
+    c = curve.word
+    gens = curve.surface.group.generators()
+    enclosed = [holes[0] <= i <= holes[-1] for i in range(1, len(gens) + 1)]
+    images = [g.conjugate(c) if inside else g for g, inside in zip(gens, enclosed)]
+    inverse_images = [g.conjugate(c.inverse()) if inside else g for g, inside in zip(gens, enclosed)]
+    return MappingClass(curve.surface, images, inverse_images)
+
+
+def test_run_provenance_with_another_word_is_checked():
+    # a public Curve may pair a run's StandardPosition with any word; unless
+    # the word is exactly xa ... xb, dehn_twist answers as the checking
+    # constructor does: the same ValueError, or an equal map
+    rng = random.Random(25)
+    outcomes = {}
+    for case in range(600):
+        surface = PlanarSurface(rng.randrange(3, 9))
+        lo = rng.randrange(1, surface.holes)
+        hi = rng.randrange(lo, surface.holes)
+        run = list(range(lo, hi + 1))
+        kind = ("rotation", "inverse", "conjugate", "times generator", "other run")[case % 5]
+        if kind == "rotation":
+            if len(run) == 1:
+                continue
+            k = rng.randrange(1, len(run))
+            letters = run[k:] + run[:k]
+        elif kind == "inverse":
+            letters = [-x for x in reversed(run)]
+        elif kind == "conjugate":
+            g = random_word(rng, surface.group, 4)
+            letters = (g * Word(surface.group, run) * g.inverse()).letters
+        elif kind == "times generator":
+            letters = run + [rng.choice((1, -1)) * rng.randrange(1, surface.holes)]
+        else:
+            lo2 = rng.randrange(1, surface.holes)
+            letters = list(range(lo2, rng.randrange(lo2, surface.holes) + 1))
+        word = Word(surface.group, letters)
+        if word.letters == tuple(run):
+            continue
+        curve = Curve(surface, word, StandardPosition(tuple(run)))
+        try:
+            expected = _checked_run_twist(curve)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                dehn_twist(curve)
+            assert type(raised.value) is type(err) and str(raised.value) == str(err), curve
+            outcome = "rejected"
+        else:
+            got = dehn_twist(curve)
+            assert got == expected and got.inverse_images == expected.inverse_images, curve
+            outcome = "accepted"
+        outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
+    for kind in ("rotation", "conjugate", "times generator", "other run"):
+        assert outcomes.get((kind, "rejected"), 0) >= 20, outcomes
+    assert outcomes.get(("inverse", "accepted"), 0) >= 100, outcomes
+
+
+def test_run_twists_build_without_the_constructor_check(monkeypatch):
+    # with MappingClass.__init__ unusable, every run twist on S(0,2..9), a
+    # grid palf input and a family member still build; each run twist then
+    # passes the full check, delta-conjugacy included
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("MappingClass.__init__ called")
+
+    curves = [
+        standard_curve(surface, tuple(range(lo, hi + 1)))
+        for surface in map(PlanarSurface, range(2, 10))
+        for lo in range(1, surface.holes)
+        for hi in range(lo, surface.holes)
+    ]
+    grid = "S(0,4); T apply((Tg Ta Tb)^3, std{1,2}); T apply((Ta Tg)^-2, std{2,3}); T apply((Tb Tg)^2, std{1,2})"
+    with monkeypatch.context() as patch:
+        patch.setattr(MappingClass, "__init__", refuse)
+        twists = [dehn_twist(curve) for curve in curves]
+        for cycle in parse_monodromy(grid).cycles:
+            dehn_twist(cycle)
+        mazur_family(3)
+    assert len(twists) == 120
+    for t in twists:
+        assert MappingClass(t.surface, t.images, t.inverse_images) == t
 
 
 def test_corrupted_inverse_is_rejected():
