@@ -51,7 +51,6 @@ from .surface import (
     ImagePosition,
     MappingClass,
     PlanarSurface,
-    StandardPosition,
     UnsupportedCurveError,
     apply,
     compose,

@@ -20,7 +20,9 @@ Monodromies::
 
 ``sides`` is one character per skipped hole in increasing order: ``o``
 (over: the curve passes over the skipped hole, conjugating the next
-generator) or ``u`` (under).
+generator) or ``u`` (under).  A ``T curve`` factor twists about a run
+``std{a,a+1,...,b}`` or an ``apply`` image of one; any other curve is a
+:class:`ParseError` at the curve.
 
 Laurent polynomials::
 
@@ -49,10 +51,10 @@ from .surface import (
     Curve,
     MappingClass,
     PlanarSurface,
+    UnsupportedCurveError,
+    _product,
     apply,
-    compose,
     dehn_twist,
-    power,
     standard_curve,
 )
 from .words import FreeGroup, Word
@@ -379,11 +381,11 @@ def _parse_curve(parser: _Parser, surface: PlanarSurface) -> Curve:
             parser.expect(",")
             curve = _parse_curve(parser, surface)
             parser.expect(")")
-        if len(factors) == 1:
-            # one powered factor F^k: k steps on the curve word, F^k not composed
-            [(phi, exponent)] = factors
-            return apply(phi, curve, exponent)
-        return apply(_product(factors), curve)
+        # F1^k1 ... Fm^km, rightmost first: k steps of each F on the curve
+        # word, and the factors kept in the provenance, never composed
+        for phi, exponent in reversed(factors):
+            curve = apply(phi, curve, exponent)
+        return curve
     raise ParseError(f"unknown curve form {tok.text!r}", tok.line, tok.column)
 
 
@@ -429,7 +431,12 @@ def _parse_factors(parser: _Parser, surface: PlanarSurface) -> list[tuple[Mappin
             base = dehn_twist(standard_curve(surface, _ALIASES[tok.text]))
         elif tok.kind == "name" and tok.text == "T":
             parser.advance()
-            base = dehn_twist(_parse_curve(parser, surface))
+            at = parser.current
+            curve = _parse_curve(parser, surface)
+            try:
+                base = dehn_twist(curve)
+            except UnsupportedCurveError as exc:
+                raise ParseError(str(exc), at.line, at.column) from exc
         else:
             break
         exponent = 1
@@ -441,11 +448,3 @@ def _parse_factors(parser: _Parser, surface: PlanarSurface) -> list[tuple[Mappin
         raise parser.error("expected a mapping-class expression")
     return factors
 
-
-def _product(factors: list[tuple[MappingClass, int]]) -> MappingClass:
-    """The composite of powered factors, the rightmost applied first."""
-    powers = [base if exponent == 1 else power(base, exponent) for base, exponent in factors]
-    result = powers[0]
-    for factor in powers[1:]:
-        result = compose(result, factor)
-    return result

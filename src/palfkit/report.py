@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 from .knots import check_family_invariants
 from .lefschetz import (
+    FAMILY_HOLE_RUNS,
     PALFSpec,
     allowable,
     family_curves,
@@ -103,8 +104,8 @@ def palf_summary(spec: PALFSpec) -> dict:
 def _conventions() -> dict:
     alpha, beta, gamma = family_curves()
     fixture = {
-        name: "std{%s} = %s" % (",".join(map(str, c.provenance.holes)), c.word)
-        for name, c in (("alpha", alpha), ("beta", beta), ("gamma", gamma))
+        name: "std{%s} = %s" % (",".join(map(str, holes)), c.word)
+        for name, holes, c in zip(("alpha", "beta", "gamma"), FAMILY_HOLE_RUNS, (alpha, beta, gamma))
     }
     return {
         "surface": str(alpha.surface),

@@ -8,16 +8,17 @@ A planar surface with ``r`` holes has fundamental group free on
 basepoint sits on the outer boundary (hole ``r``).  The outer boundary
 word is ``delta = x1 x2 ... x(r-1)``.
 
-A positive Dehn twist about a curve in standard position enclosing a
-consecutive run of holes ``i..j`` sends each enclosed generator ``xk``
-to ``c xk c^-1`` with ``c = xi ... xj`` and fixes the rest.  When the
-curve word is exactly ``xi ... xj``, :func:`dehn_twist` builds this map
-without the :class:`MappingClass` check: it is an automorphism fixing
-``delta`` letter for letter, which its docstring proves; any other word
-paired with a run provenance is checked as before.  Curves
-enclosing a non-consecutive hole set are not twistable in this direct
-form (the conjugation recipe is no longer induced by a homeomorphism);
-build their twists through :func:`twist_of_image` instead, e.g. from a
+A curve's word decides its twist.  A positive Dehn twist about a curve
+whose word is a run ``c = xi ... xj`` sends each enclosed generator ``xk``
+to ``c xk c^-1`` and fixes the rest: twisting is conjugation by ``c``
+(Farb-Margalit, *A Primer on Mapping Class Groups*, Ch. 9), and
+:func:`dehn_twist` builds it without the :class:`MappingClass` check, by
+the proof in its docstring.  An image curve keeps its factors: ``apply``
+records the powered maps that carried a base curve to it, and its twist is
+the conjugated twist of the base.  Any other word, a curve about a
+non-consecutive hole set included, is not twistable in this direct form
+(the conjugation recipe is no longer induced by a homeomorphism); build
+its twist through :func:`twist_of_image` instead, e.g. from a
 :func:`half_twist` image.  Mapping classes compose right to left:
 ``compose(f, g)`` applies ``g`` first.
 """
@@ -25,6 +26,7 @@ build their twists through :func:`twist_of_image` instead, e.g. from a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 from .words import FreeGroup, Word, are_conjugate, substitute
@@ -67,26 +69,20 @@ class PlanarSurface:
 
 
 @dataclass(frozen=True)
-class StandardPosition:
-    """Provenance of a standard-position curve: its enclosed holes."""
-
-    holes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ImagePosition:
-    """Provenance of a curve obtained as a mapping-class image: the curve
-    is the image of ``base`` under ``phi^exponent``."""
+    """Provenance of a curve obtained as a mapping-class image: the curve is
+    the image of ``base`` under ``phi1^n1 ... phim^nm``, where ``factors`` is
+    ``((phi1, n1), ..., (phim, nm))`` and the rightmost factor applies first.
+    :func:`apply` never takes an image as ``base``."""
 
-    phi: "MappingClass"
+    factors: tuple[tuple["MappingClass", int], ...]
     base: "Curve"
-    exponent: int = 1
 
     @property
     def composite(self) -> "MappingClass":
-        """The map ``phi^exponent``, built only when it is read (to twist
-        about the curve or to flatten a further image)."""
-        return power(self.phi, self.exponent)
+        """The product of the factors, built only when it is read (to twist
+        about the curve)."""
+        return _product(self.factors)
 
 
 class Curve:
@@ -103,7 +99,7 @@ class Curve:
         self,
         surface: PlanarSurface,
         word: Word,
-        provenance: StandardPosition | ImagePosition | None = None,
+        provenance: ImagePosition | None = None,
     ):
         if word.group != surface.group:
             raise ValueError("curve word does not live on the surface")
@@ -172,9 +168,7 @@ def standard_curve(
         letters.append(h)
         letters.extend(-s for s in reversed(gap_over))
         prev = h
-    word = Word(surface.group, letters)
-    provenance = StandardPosition(tuple(enclosed))
-    return Curve(surface, word, provenance)
+    return Curve(surface, Word(surface.group, letters))
 
 
 class MappingClass:
@@ -189,8 +183,8 @@ class MappingClass:
 
     Three builders skip the check, each on an argument: :func:`compose`
     and :meth:`inverse` inherit validity from their operands, and
-    :func:`dehn_twist` about a curve whose word is exactly the run
-    ``xa ... xb`` is valid by the proof in its docstring.
+    :func:`dehn_twist` about a run word ``xa ... xb`` is valid by the proof
+    in its docstring.
     """
 
     __slots__ = ("surface", "images", "inverse_images")
@@ -275,24 +269,27 @@ def power(phi: MappingClass, n: int) -> MappingClass:
     return result
 
 
-def apply(phi: MappingClass, target: Curve, n: int = 1) -> Curve:
-    """Image of a curve under ``phi^n``, which remembers its provenance.
+def _product(factors: Sequence[tuple[MappingClass, int]]) -> MappingClass:
+    """The composite ``phi1^n1 ... phim^nm`` of powered factors, the
+    rightmost applied first; a factor to the first power is used as is."""
+    return reduce(compose, (phi if n == 1 else power(phi, n) for phi, n in factors))
 
-    For a target that is not itself an image, the word is |n| applications
-    of ``phi`` (of ``phi.inverse()`` when n < 0) to the target word, and the
-    provenance is ``ImagePosition(phi, target, n)``: phi^n is composed only
-    when it is read.  phi is injective, so an orbit that repeats first comes
-    back to the target word; when step i does, |n| mod i more steps finish
-    it, and a map fixing the curve costs one step whatever n is.  An image
-    target is flattened: its provenance becomes
-    ``compose(phi^n, target.provenance.composite)`` applied to its base.
+
+def apply(phi: MappingClass, target: Curve, n: int = 1) -> Curve:
+    """Image of a curve under ``phi^n``, which keeps its factors.
+
+    The word is |n| applications of ``phi`` (of ``phi.inverse()`` when
+    n < 0) to the target word.  phi is injective, so an orbit that repeats
+    first comes back to the target word; when step i does, |n| mod i more
+    steps finish it, and a map fixing the curve costs one step whatever n
+    is.  The provenance is ``ImagePosition(((phi, n),) + factors, base)``
+    over the target's factors and base for an image target, and
+    ``ImagePosition(((phi, n),), target)`` for any other.  No map is
+    composed or powered here; :attr:`ImagePosition.composite` multiplies
+    the factors when a twist reads it.
     """
     if target.surface != phi.surface:
         raise ValueError("curve does not live on the mapping class surface")
-    if isinstance(target.provenance, ImagePosition):
-        phi_n = power(phi, n)
-        provenance = ImagePosition(compose(phi_n, target.provenance.composite), target.provenance.base)
-        return Curve(phi.surface, phi_n(target.word), provenance)
     step = phi if n >= 0 else phi.inverse()
     steps = abs(n)
     start = word = target.word
@@ -302,25 +299,21 @@ def apply(phi: MappingClass, target: Curve, n: int = 1) -> Curve:
             for _ in range(steps % i):
                 word = step(word)
             break
-    return Curve(phi.surface, word, ImagePosition(phi, target, n))
-
-
-def _contiguous_run(holes: Sequence[int]) -> bool:
-    return bool(holes) and holes[-1] - holes[0] + 1 == len(holes)
+    prov = target.provenance
+    factors, base = (prov.factors, prov.base) if prov is not None else ((), target)
+    return Curve(phi.surface, word, ImagePosition(((phi, n),) + factors, base))
 
 
 def dehn_twist(curve: Curve) -> MappingClass:
-    """The positive Dehn twist about a supported curve.
+    """The positive Dehn twist about a curve whose word is a run, or about
+    an image curve.
 
-    Supported positions are standard curves whose enclosed holes form a
-    consecutive run (conjugation by the curve word is then the honest
-    twist action) and mapping-class images of supported curves, for
-    which the twist is the conjugated twist of the base curve.
-
-    A run twist is built without the :class:`MappingClass` check when the
-    curve word is exactly ``c = xa ... xb`` for its run ``a..b``.  Then phi
-    sends ``xi`` to ``c xi c^-1`` for a <= i <= b and fixes the rest, and
-    psi, the stored inverse, conjugates the same generators by ``c^-1``:
+    A curve with no provenance twists directly exactly when its word is a
+    run ``c = xa ... xb`` (1 <= a <= b): the curve then encloses holes a..b
+    in standard position, and conjugation by c is the honest twist action.
+    This twist is built without the :class:`MappingClass` check.  phi sends
+    ``xi`` to ``c xi c^-1`` for a <= i <= b and fixes the rest, and psi, the
+    stored inverse, conjugates the same generators by ``c^-1``:
 
     * phi(c) = (c xa c^-1) ... (c xb c^-1) = c (xa ... xb) c^-1
       = c c c^-1 = c, and likewise psi(c) = c^-1 c c = c.
@@ -330,34 +323,24 @@ def dehn_twist(curve: Curve) -> MappingClass:
     * ``delta = x1 ... x(a-1) . c . x(b+1) ... x(r-1)``, and phi fixes
       each of the three factors, so phi(delta) = delta letter for letter.
 
-    Those are the two facts the constructor would check.  ``Curve`` and
-    ``StandardPosition`` are public, so a caller can pair a run provenance
-    with any word (a rotation, the inverse, a conjugate of the run); such
-    a curve is checked by the constructor as before.
+    Those are the two facts the constructor would check.  Every other word
+    (a rotation or the inverse of a run, a conjugate, a skipped standard
+    curve) raises :class:`UnsupportedCurveError`.  An image curve twists as
+    ``twist_of_image(composite, base)``, the conjugated twist of its base.
     """
-    surface = curve.surface
     prov = curve.provenance
-
-    if isinstance(prov, ImagePosition):
+    if prov is not None:
         return twist_of_image(prov.composite, prov.base)
-    if not isinstance(prov, StandardPosition):
-        raise UnsupportedCurveError("curve has no usable position data; use twist_of_image")
-
-    holes = prov.holes
-    if not _contiguous_run(holes):
-        raise UnsupportedCurveError(
-            f"direct twists support consecutive hole runs only, not {holes}; use twist_of_image"
-        )
-
-    a, b = holes[0], holes[-1]
     c = curve.word
+    a = c.letters[0] if c.letters else 0
+    b = a + len(c) - 1
+    if a < 1 or c.letters != tuple(range(a, b + 1)):
+        raise UnsupportedCurveError(f"no direct twist about {c}: its word is not a run xa ... xb")
     c_inv = c.inverse()
-    gens = list(enumerate(surface.group.generators(), 1))
-    images = [c * gen * c_inv if a <= i <= b else gen for i, gen in gens]
-    inverse_images = [c_inv * gen * c if a <= i <= b else gen for i, gen in gens]
-    if a >= 1 and c.letters == tuple(range(a, b + 1)):
-        return MappingClass._trusted(surface, tuple(images), tuple(inverse_images))
-    return MappingClass(surface, images, inverse_images)
+    gens = list(enumerate(curve.surface.group.generators(), 1))
+    images = tuple(c * gen * c_inv if a <= i <= b else gen for i, gen in gens)
+    inverse_images = tuple(c_inv * gen * c if a <= i <= b else gen for i, gen in gens)
+    return MappingClass._trusted(curve.surface, images, inverse_images)
 
 
 def twist_of_image(phi: MappingClass, curve: Curve) -> MappingClass:

@@ -1,10 +1,11 @@
 import random
 import sys
+from functools import reduce
 
 import pytest
 
 from conftest import random_laurent, random_presentation
-from palfkit import grammar, lefschetz
+from palfkit import grammar, lefschetz, surface
 from palfkit.grammar import (
     MAX_HOLES,
     MAX_NESTING,
@@ -18,7 +19,17 @@ from palfkit.grammar import (
 )
 from palfkit.laurent import LaurentPoly
 from palfkit.lefschetz import family_twists, mazur_family
-from palfkit.surface import OVER, UNDER, MappingClass, PlanarSurface, compose, power, standard_curve
+from palfkit.surface import (
+    OVER,
+    UNDER,
+    MappingClass,
+    PlanarSurface,
+    apply,
+    compose,
+    dehn_twist,
+    power,
+    standard_curve,
+)
 
 
 # -- presentations -------------------------------------------------------------
@@ -357,6 +368,63 @@ def test_apply_nesting():
 
     expected = apply_mc(t_b, apply_mc(t_g, standard_curve(s, (2, 3))))
     assert spec.cycles[0].word == expected.word
+
+
+def _std(run):
+    return "std{" + ",".join(map(str, run)) + "}"
+
+
+def _powered_run_twist(rng, s, runs):
+    # a factor's text, and its map built by power alone
+    run, k = rng.choice(runs), rng.choice((-2, -1, 1, 2))
+    text = f"T {_std(run)}" if k == 1 and rng.random() < 0.5 else f"(T {_std(run)})^{k}"
+    return text, power(dehn_twist(standard_curve(s, run)), k)
+
+
+def test_multi_factor_apply_matches_the_composed_product():
+    # differential: apply(F1^a F2^b [F3^c], c) steps each powered factor on
+    # the curve word, right to left, and keeps the factors; the word, the
+    # homology class and the twist must equal those of apply(product, c),
+    # with the product composed up front.  Every third target is an image.
+    rng = random.Random(26)
+    image_targets = 0
+    for case in range(510):
+        s = PlanarSurface(rng.randrange(4, 7))
+        runs = [tuple(range(a, b + 1)) for a in range(1, s.holes) for b in range(a, s.holes)]
+        texts, maps = zip(*(_powered_run_twist(rng, s, runs) for _ in range(rng.choice((2, 3)))))
+        base = rng.choice(runs)
+        target_text, target = _std(base), standard_curve(s, base)
+        if case % 3 == 0:
+            inner_text, inner = _powered_run_twist(rng, s, runs)
+            target_text, target = f"apply({inner_text}, {target_text})", apply(inner, target)
+            image_targets += 1
+        [cycle] = parse_monodromy(f"S(0,{s.holes}); T apply({' '.join(texts)}, {target_text})").cycles
+        expected = apply(reduce(compose, maps), target)
+        assert cycle.word == expected.word, (texts, target_text)
+        assert cycle.homology_class == expected.homology_class
+        assert dehn_twist(cycle) == dehn_twist(expected), (texts, target_text)
+    assert image_targets == 170
+
+
+def test_multi_factor_apply_composes_nothing(monkeypatch):
+    # multi-factor and nested applies parse with power and compose refused in
+    # every module that binds them: each factor steps on the curve word
+    def refuse(*args):
+        raise AssertionError("a map was powered or composed")
+
+    for module in (surface, grammar):
+        for name in ("power", "compose"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    text = (
+        "S(0,5); T apply((T std{1,2})^2 (T std{2,3,4})^-1 T std{3}, std{1});"
+        " T apply((T std{1,2,3,4})^3 T std{2,3}, apply((T std{3,4})^-1 T std{1,2}, std{2,3}));"
+        " T apply(T std{4}, apply((T std{2,3})^2, apply(T std{1,2,3} (T std{3,4})^-2, std{3,4})))"
+    )
+    spec = parse_monodromy(text)
+    monkeypatch.undo()
+    assert spec == parse_monodromy(text)
+    assert [len(c.provenance.factors) for c in spec.cycles] == [3, 4, 4]
 
 
 def test_nesting_limit():

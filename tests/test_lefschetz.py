@@ -227,7 +227,7 @@ def test_family_negative_index_rejected():
 
 def test_family_cycle_matches_sequential_application():
     # the n-th cycle equals gamma carried through apply() n times, each call
-    # flattening the provenance into one composite
+    # adding one factor over the same base
     t_a, t_b, t_g = family_twists()
     phi = compose(t_g, t_b)
     current = family_curves()[2]
@@ -263,11 +263,11 @@ def test_family_closed_form_matches_iterated_phi():
         spec = mazur_family(n)
         assert spec.cycles[2].word == word, n
         if n <= 60:
-            iterated = PALFSpec(s, (alpha, beta, Curve(s, word, ImagePosition(phi, gamma, n))))
+            iterated = PALFSpec(s, (alpha, beta, Curve(s, word, ImagePosition(((phi, n),), gamma))))
             assert spec == iterated
             assert spec.cycles[2].homology_class == iterated.cycles[2].homology_class
             prov = spec.cycles[2].provenance
-            assert (prov.phi, prov.base, prov.exponent) == (phi, gamma, n)
+            assert (prov.factors, prov.base) == (((phi, n),), gamma)
         word = phi(word)
 
 
@@ -305,7 +305,7 @@ def test_family_cycle_provenance_is_phi_to_the_n():
     for n in range(6):
         cycle = mazur_family(n).cycles[2]
         prov = cycle.provenance
-        assert (prov.phi, prov.exponent) == (phi, n)
+        assert prov.factors == ((phi, n),)
         assert prov.base.word == gamma.word
         assert dehn_twist(cycle) == twist_of_image(power(phi, n), gamma)
         assert dehn_twist(cycle)(S4.delta) == S4.delta
@@ -329,8 +329,8 @@ def test_apply_to_family_cycle_flattens_provenance():
         psi = random_twist_product(rng, S4)
         image = apply(psi, cycle)
         assert image.provenance.base is cycle.provenance.base
-        assert image.provenance.exponent == 1
-        assert image.provenance.phi == compose(psi, power(phi, n))
+        assert image.provenance.factors == ((psi, 1), (phi, n))
+        assert image.provenance.composite == compose(psi, power(phi, n))
         assert image.word == psi(cycle.word)
 
 

@@ -580,6 +580,46 @@ def test_cli_twist(capsys):
     assert "x3 -> x3" in out
 
 
+def test_cli_twist_about_an_unsupported_curve_is_a_positioned_parse_error(tmp_path, capsys):
+    # a twist factor whose curve word is not a run, directly or as the base
+    # of an image, is a ParseError at the curve token: exit 2, no traceback
+    source = tmp_path / "skipped.palf"
+    source.write_text("S(0,4);\n  T apply(T std{1,3/u}, std{1,2})\n")
+    for argv, word, position in (
+        (["twist", "--surface", "S(0,4)", "--expr", "Ta T std{1,3/o}"], "x1 x2 x3 x2^-1", "line 1, column 6"),
+        (["palf", "--input", str(source)], "x1 x3", "line 2, column 13"),
+        (["twist", "--surface", "S(0,4)", "--expr", "T apply(Tb, std{1,3/o})"], "x1 x2 x3 x2^-1", "line 1, column 3"),
+    ):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: no direct twist about {word}: its word is not a run xa ... xb ({position})\n"
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["family3", "grid_h1_z", "runs_s07", "images_s05"])
+def test_cli_palf_data_files_pinned(name, capsys):
+    # the tests/data palf inputs against their pinned text and JSON bytes
+    for fmt, suffix in (([], ".out"), (["--json"], ".json")):
+        assert cli.main(["palf", "--input", str(DATA / f"{name}.palf")] + fmt) == 0
+        assert capsys.readouterr().out == (DATA / f"{name}.palf{suffix}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, surface, expr",
+    [
+        ("twist_tg_tb_squared", "S(0,4)", "(Tg Tb)^2"),
+        ("twist_s08_runs", "S(0,8)", "(T std{2,3,4})^-2 T std{1,2,3,4,5,6,7}"),
+        ("twist_s05_image", "S(0,5)", "T apply(T std{3,4} (T std{1,2})^-2, std{2,3}) T std{1,2,3}"),
+    ],
+)
+def test_cli_twist_data_files_pinned(name, surface, expr, capsys):
+    assert cli.main(["twist", "--surface", surface, "--expr", expr]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}.out").read_text(encoding="utf-8")
+
+
 def test_cli_palf(tmp_path, capsys):
     source = tmp_path / "family3.palf"
     source.write_text("S(0,4); T std{1}; T std{1,2}; T apply((Tg Tb)^3, std{2,3})\n")

@@ -11,7 +11,6 @@ from palfkit.surface import (
     Curve,
     MappingClass,
     PlanarSurface,
-    StandardPosition,
     UnsupportedCurveError,
     apply,
     compose,
@@ -198,30 +197,43 @@ def test_every_run_twist_and_half_twist_is_two_sided():
     assert all(_two_sided_inverse(phi) for phi in maps)
 
 
-def _checked_run_twist(curve):
-    # oracle: the direct twist about a run-provenance curve, built through the
-    # checking constructor whatever its word
-    holes = curve.provenance.holes
-    c = curve.word
-    gens = curve.surface.group.generators()
-    enclosed = [holes[0] <= i <= holes[-1] for i in range(1, len(gens) + 1)]
-    images = [g.conjugate(c) if inside else g for g, inside in zip(gens, enclosed)]
-    inverse_images = [g.conjugate(c.inverse()) if inside else g for g, inside in zip(gens, enclosed)]
-    return MappingClass(curve.surface, images, inverse_images)
+def _checked_run_twist(surface, lo, hi):
+    # oracle: conjugation by c = x_lo ... x_hi on the enclosed generators,
+    # built through the checking constructor
+    gens = surface.group.generators()
+    c = Word(surface.group, range(lo, hi + 1))
+    images = [g.conjugate(c) if lo <= i <= hi else g for i, g in enumerate(gens, 1)]
+    inverse_images = [g.conjugate(c.inverse()) if lo <= i <= hi else g for i, g in enumerate(gens, 1)]
+    return MappingClass(surface, images, inverse_images)
 
 
-def test_run_provenance_with_another_word_is_checked():
-    # a public Curve may pair a run's StandardPosition with any word; unless
-    # the word is exactly xa ... xb, dehn_twist answers as the checking
-    # constructor does: the same ValueError, or an equal map
+def test_every_run_word_twists_as_the_checked_constructor():
+    # every run x_a ... x_b on S(0,2..9), as a standard curve and as a bare
+    # Curve with that word: the same map and inverse as the checked oracle
+    count = 0
+    for surface in map(PlanarSurface, range(2, 10)):
+        for lo in range(1, surface.holes):
+            for hi in range(lo, surface.holes):
+                expected = _checked_run_twist(surface, lo, hi)
+                bare = Curve(surface, Word(surface.group, range(lo, hi + 1)))
+                for curve in (standard_curve(surface, tuple(range(lo, hi + 1))), bare):
+                    got = dehn_twist(curve)
+                    assert got == expected and got.inverse_images == expected.inverse_images, curve
+                    count += 1
+    assert count == 2 * 120
+
+
+def test_only_a_run_word_twists_directly():
+    # the word decides: a rotation of a run, its inverse, a conjugate of it,
+    # the run times a generator, or the empty word has no direct twist
     rng = random.Random(25)
-    outcomes = {}
+    rejected = {}
     for case in range(600):
         surface = PlanarSurface(rng.randrange(3, 9))
         lo = rng.randrange(1, surface.holes)
         hi = rng.randrange(lo, surface.holes)
         run = list(range(lo, hi + 1))
-        kind = ("rotation", "inverse", "conjugate", "times generator", "other run")[case % 5]
+        kind = ("rotation", "inverse", "conjugate", "times generator", "empty")[case % 5]
         if kind == "rotation":
             if len(run) == 1:
                 continue
@@ -235,27 +247,15 @@ def test_run_provenance_with_another_word_is_checked():
         elif kind == "times generator":
             letters = run + [rng.choice((1, -1)) * rng.randrange(1, surface.holes)]
         else:
-            lo2 = rng.randrange(1, surface.holes)
-            letters = list(range(lo2, rng.randrange(lo2, surface.holes) + 1))
+            letters = []
         word = Word(surface.group, letters)
-        if word.letters == tuple(run):
-            continue
-        curve = Curve(surface, word, StandardPosition(tuple(run)))
-        try:
-            expected = _checked_run_twist(curve)
-        except ValueError as err:
-            with pytest.raises(ValueError) as raised:
-                dehn_twist(curve)
-            assert type(raised.value) is type(err) and str(raised.value) == str(err), curve
-            outcome = "rejected"
-        else:
-            got = dehn_twist(curve)
-            assert got == expected and got.inverse_images == expected.inverse_images, curve
-            outcome = "accepted"
-        outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
-    for kind in ("rotation", "conjugate", "times generator", "other run"):
-        assert outcomes.get((kind, "rejected"), 0) >= 20, outcomes
-    assert outcomes.get(("inverse", "accepted"), 0) >= 100, outcomes
+        runs = {tuple(range(a, b + 1)) for a in range(1, surface.holes) for b in range(a, surface.holes)}
+        if word.letters in runs:
+            continue  # the conjugate or product reduced to a run
+        with pytest.raises(UnsupportedCurveError, match="is not a run"):
+            dehn_twist(Curve(surface, word))
+        rejected[kind] = rejected.get(kind, 0) + 1
+    assert min(rejected.values()) >= 50 and len(rejected) == 5, rejected
 
 
 def test_run_twists_build_without_the_constructor_check(monkeypatch):
@@ -365,9 +365,10 @@ def test_apply_on_curves_tracks_class_and_provenance():
     assert image.homology_class == gamma.homology_class
     assert image.provenance.base is gamma
     again = apply(phi, image)
-    assert again.provenance.base is gamma  # provenance chain is flattened
+    assert again.provenance.base is gamma  # an image target keeps its base
     assert again.word == phi(phi(gamma.word))
-    assert (image.provenance.exponent, again.provenance.exponent) == (1, 1)
+    assert image.provenance.factors == ((phi, 1),)
+    assert again.provenance.factors == ((phi, 1), (phi, 1))
     assert again.provenance.composite == compose(phi, phi)
 
 
@@ -385,7 +386,7 @@ def _twist_power_product(rng, surface):
 def test_apply_power_matches_composed_power():
     # differential: apply(phi, c, k) takes |k| steps on the curve word, and
     # must agree with apply(power(phi, k), c) on standard targets and on
-    # image targets (the flattening path)
+    # image targets (the factors prepended to the target's)
     rng = random.Random(72)
     cases = 0
     for trial in range(64):
@@ -429,7 +430,7 @@ def test_apply_cuts_the_orbit_at_its_first_return(monkeypatch):
         steps.clear()
         image = apply(swap, c1, n)
         assert image.word == y2
-        assert image.provenance.exponent == n
+        assert image.provenance.factors == ((swap, n),)
 
 
 # -- image twists and the lantern -------------------------------------------
