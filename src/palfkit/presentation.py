@@ -6,12 +6,8 @@ inversion, multiplying one relator by another, and eliminating a
 generator through a relator that mentions it exactly once), so a
 ``Trivial`` verdict is always sound.  ``Unknown`` promises nothing.
 
-The product move searches length first: for each candidate ``ri * f``,
-with ``f`` a rotation of another relator's cyclic core or its inverse,
-the length of the cyclically reduced product is read off two cancellation
-counts (at the junction of ``ri`` and ``f``, then at the ends of what is
-left), with ``f`` indexed in place.  Only the product that is kept is
-built, so a candidate costs its cancellation, not its length.
+Each step eliminates a generator when some relator allows it; only when
+none does is a relator replaced by a shorter product with another.
 """
 
 from __future__ import annotations
@@ -123,58 +119,30 @@ def _eliminate(group: FreeGroup, relators: list[Word]) -> tuple[FreeGroup, list[
         moved = tuple(x - 1 if x > target else x + 1 if x < -target else x for x in solution.letters)
         images = new_group.generators()
         images.insert(target - 1, Word._trusted(new_group, moved))
-        new_relators = [substitute(other, images, target=new_group) for i, other in enumerate(relators) if i != ridx]
+        new_relators = [substitute(other, images) for i, other in enumerate(relators) if i != ridx]
         return new_group, new_relators
     return None
-
-
-def _product_length(left: tuple[int, ...], doubled: tuple[int, ...], shift: int) -> int:
-    """``len((left * f).cyclic_reduction())`` without building the product.
-
-    ``left`` is freely reduced and ``doubled`` is a cyclically reduced core
-    written twice, so ``f = doubled[shift:shift + m]`` is rotation ``shift``
-    of the core (``m`` its length) and is read in place.  The length is
-    ``len(left) + m`` less twice the junction cancellation ``k`` and twice
-    the cyclic cancellation ``c`` at the ends of ``left[:-k] + f[k:]``.
-    """
-    n, m = len(left), len(doubled) // 2
-    k, limit = 0, min(n, m)
-    while k < limit and left[n - 1 - k] == -doubled[shift + k]:
-        k += 1
-    keep, total = n - k, n + m - 2 * k
-    c = 0
-    while total - 2 * c >= 2:
-        front = left[c] if c < keep else doubled[shift + k + c - keep]
-        back = doubled[shift + m - 1 - c] if c < m - k else left[total - 1 - c]
-        if front != -back:
-            break
-        c += 1
-    return total - 2 * c
 
 
 def _shorten_by_product(relators: list[Word]) -> list[Word] | None:
     """Replace some relator by a strictly shorter product with another.
 
-    Candidates are tried in the order i, j != i, rotation s of rj's cyclic
-    core, then that rotation and its inverse; the inverse of rotation s is
-    rotation (m - s) % m of the inverted core.  Only the first product that
-    is shorter is built.
+    Candidates ``(ri * f).cyclic_reduction()`` are tried in the order i,
+    j != i, rotation s of rj's cyclic core, then that rotation and its
+    inverse; the first that is shorter than ri replaces it.
     """
-    cores = []
-    for r in relators:
-        core = r.cyclic_reduction()
-        cores.append((len(core), core.letters * 2, core.inverse().letters * 2))
     for i, ri in enumerate(relators):
-        left = ri.letters
-        for j, (m, forward, backward) in enumerate(cores):
+        for j, rj in enumerate(relators):
             if i == j:
                 continue
-            for s in range(m):
-                for doubled, shift in ((forward, s), (backward, (m - s) % m)):
-                    if _product_length(left, doubled, shift) < len(left):
-                        factor = Word._trusted(ri.group, doubled[shift:shift + m])
+            core = rj.cyclic_reduction().letters
+            for s in range(len(core)):
+                rotated = Word._trusted(ri.group, core[s:] + core[:s])
+                for factor in (rotated, rotated.inverse()):
+                    candidate = (ri * factor).cyclic_reduction()
+                    if len(candidate) < len(ri):
                         out = list(relators)
-                        out[i] = (ri * factor).cyclic_reduction()
+                        out[i] = candidate
                         return out
     return None
 

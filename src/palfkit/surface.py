@@ -326,11 +326,12 @@ def dehn_twist(curve: Curve) -> MappingClass:
     Those are the two facts the constructor would check.  Every other word
     (a rotation or the inverse of a run, a conjugate, a skipped standard
     curve) raises :class:`UnsupportedCurveError`.  An image curve twists as
-    ``twist_of_image(composite, base)``, the conjugated twist of its base.
+    the conjugated twist of its base, which is built first: a base that
+    raises does so before any factor is composed.
     """
     prov = curve.provenance
     if prov is not None:
-        return twist_of_image(prov.composite, prov.base)
+        return _conjugated(dehn_twist(prov.base), prov.composite)
     c = curve.word
     a = c.letters[0] if c.letters else 0
     b = a + len(c) - 1
@@ -345,8 +346,13 @@ def dehn_twist(curve: Curve) -> MappingClass:
 
 def twist_of_image(phi: MappingClass, curve: Curve) -> MappingClass:
     """Twist about the image curve phi(curve), as phi t_curve phi^-1."""
-    base = dehn_twist(curve)
-    return compose(compose(phi, base), phi.inverse())
+    return _conjugated(dehn_twist(curve), phi)
+
+
+def _conjugated(twist: MappingClass, phi: MappingClass) -> MappingClass:
+    """``phi twist phi^-1``, the twist about the image under phi of the
+    twist's curve."""
+    return compose(compose(phi, twist), phi.inverse())
 
 
 def half_twist(surface: PlanarSurface, i: int) -> MappingClass:

@@ -234,19 +234,18 @@ class Word:
         return Word._trusted(self.group, doubled[start:start + n])
 
 
-def substitute(word: Word, images: Sequence[Word], target: FreeGroup | None = None) -> Word:
+def substitute(word: Word, images: Sequence[Word]) -> Word:
     """Apply the homomorphism sending generator ``i`` to ``images[i]``.
 
-    The target group defaults to the group of the image words, and every
-    image must live in it.
+    The result lives in the group of the image words (the word's own group
+    when there are none), and the images must all live in one group.
     """
     if len(images) != word.group.rank:
         raise ValueError("need one image word per generator")
-    if target is None:
-        target = images[0].group if images else word.group
+    target = images[0].group if images else word.group
     for img in images:
         if img.group is not target and img.group != target:
-            raise ValueError("image words must live in the target group")
+            raise ValueError("image words must live in one group")
     # an inverse image is built only for a letter that occurs inverted
     inverses: dict[int, tuple[int, ...]] = {}
     letters: list[int] = []

@@ -596,6 +596,23 @@ def test_cli_twist_about_an_unsupported_curve_is_a_positioned_parse_error(tmp_pa
         assert err == f"error: no direct twist about {word}: its word is not a run xa ... xb ({position})\n"
 
 
+def test_cli_twist_refuses_an_unsupported_image_base_before_composing(monkeypatch, capsys):
+    # the base of an image is twisted before its factors are multiplied, so
+    # an unsupported base is refused with power and compose refused in every
+    # palfkit module that binds them: the same exit status and stderr bytes
+    def refuse(*args):
+        raise AssertionError("a map was powered or composed")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("palfkit.")]:
+        for name in ("power", "compose"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert cli.main(["twist", "--surface", "S(0,4)", "--expr", "T apply(Tg^5 Tb^-3, std{1,3/o})"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no direct twist about x1 x2 x3 x2^-1: its word is not a run xa ... xb (line 1, column 3)\n"
+
+
 DATA = Path(__file__).parent / "data"
 
 
