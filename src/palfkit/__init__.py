@@ -45,10 +45,7 @@ from .report import (
     report_to_text,
 )
 from .surface import (
-    OVER,
-    UNDER,
     Curve,
-    ImagePosition,
     MappingClass,
     PlanarSurface,
     UnsupportedCurveError,

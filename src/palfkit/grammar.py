@@ -20,7 +20,8 @@ Monodromies::
 
 ``sides`` is one character per skipped hole in increasing order: ``o``
 (over: the curve passes over the skipped hole, conjugating the next
-generator) or ``u`` (under).  A ``T curve`` factor twists about a run
+generator) or ``u`` (under); its text is the ``sides`` argument of
+:func:`standard_curve`.  A ``T curve`` factor twists about a run
 ``std{a,a+1,...,b}`` or an ``apply`` image of one; any other curve is a
 :class:`ParseError` at the curve.
 
@@ -46,8 +47,6 @@ from .laurent import LaurentPoly
 from .lefschetz import FAMILY_HOLE_RUNS, PALFSpec
 from .presentation import Presentation
 from .surface import (
-    OVER,
-    UNDER,
     Curve,
     MappingClass,
     PlanarSurface,
@@ -364,16 +363,21 @@ def _parse_curve(parser: _Parser, surface: PlanarSurface) -> Curve:
         while parser.current.kind == ",":
             parser.advance()
             holes.append(_parse_hole(parser, surface))
-        sides = None
+        # flags are checked where they stand, a curve without them at 'std'
+        at, sides = tok, ""
         if parser.current.kind == "/":
             parser.advance()
-            flag_tok = parser.expect("name")
-            sides = _decode_sides(parser, holes, flag_tok)
-        parser.expect("}")
+            at = parser.expect("name")
+            sides = at.text
+        else:
+            parser.expect("}")
         try:
-            return standard_curve(surface, holes, sides)
+            curve = standard_curve(surface, holes, sides)
         except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from exc
+            raise ParseError(str(exc), at.line, at.column) from exc
+        if sides:
+            parser.expect("}")
+        return curve
     if tok.text == "apply":
         with parser.nested():
             parser.expect("(")
@@ -382,7 +386,7 @@ def _parse_curve(parser: _Parser, surface: PlanarSurface) -> Curve:
             curve = _parse_curve(parser, surface)
             parser.expect(")")
         # F1^k1 ... Fm^km, rightmost first: k steps of each F on the curve
-        # word, and the factors kept in the provenance, never composed
+        # word, and the factors kept on the image curve, never composed
         for phi, exponent in reversed(factors):
             curve = apply(phi, curve, exponent)
         return curve
@@ -395,19 +399,6 @@ def _parse_hole(parser: _Parser, surface: PlanarSurface) -> int:
     if not 1 <= hole < surface.holes:
         raise ParseError(f"hole index {hole} out of range on {surface}", tok.line, tok.column)
     return hole
-
-
-def _decode_sides(parser: _Parser, holes: list[int], tok: _Token) -> dict[int, str]:
-    enclosed = sorted(set(holes))
-    skipped = [h for h in range(enclosed[0] + 1, enclosed[-1]) if h not in set(enclosed)]
-    flags = tok.text
-    if len(flags) != len(skipped) or any(c not in "ou" for c in flags):
-        raise ParseError(
-            f"expected one 'o'/'u' flag per skipped hole {skipped}, got {flags!r}",
-            tok.line,
-            tok.column,
-        )
-    return {h: (OVER if c == "o" else UNDER) for h, c in zip(skipped, flags)}
 
 
 def _parse_mapclass(parser: _Parser, surface: PlanarSurface) -> MappingClass:

@@ -11,8 +11,8 @@ Family conventions (calibrated; see README):
   * fiber S(0,4); alpha = std{1}, beta = std{1,2}, gamma = std{2,3};
   * ``compose(f, g)`` applies g first, and the n-th vanishing cycle is
     the image of gamma under the n-th power of phi = compose(t_gamma, t_beta);
-    its provenance is ``ImagePosition(((phi, n),), gamma)``, so phi^n itself
-    is composed only when it is read, to twist about the cycle;
+    it records ``factors == ((phi, n),)`` and ``base == gamma``, so phi^n
+    itself is composed only to twist about the cycle;
   * the word of gamma_n (n >= 1) is the closed form, 14n - 4 letters,
 
         W_n = D^n x2 B^n E C^(n-1) D^-(n-1),
@@ -41,7 +41,6 @@ from .intmatrix import IntMatrix, cokernel_invariants
 from .presentation import Presentation
 from .surface import (
     Curve,
-    ImagePosition,
     MappingClass,
     PlanarSurface,
     compose,
@@ -193,8 +192,8 @@ def mazur_family(n: int) -> PALFSpec:
     in O(n) letters once the five identities phi(D) = D,
     phi(x2) = D x2 B x2^-1, phi(B) = x2 B x2^-1, phi(E) = x2 E C D^-1 and
     phi(C) = D C D^-1 have been checked against this phi (``ArithmeticError``
-    if one fails).  The cycle keeps the one factor ``(phi, n)``; phi^n is not
-    composed here (see ``ImagePosition.composite``).  ``n = 0`` (the
+    if one fails).  The cycle keeps the one factor ``(phi, n)`` over the base
+    gamma; phi^n is composed only by :func:`dehn_twist`.  ``n = 0`` (the
     untwisted gamma) is allowed as a degenerate diagnostic.
     """
     if n < 0:
@@ -203,4 +202,4 @@ def mazur_family(n: int) -> PALFSpec:
     s = alpha.surface
     phi = compose(dehn_twist(gamma), dehn_twist(beta))
     word = _closed_form_word(phi, gamma, n)
-    return PALFSpec(s, (alpha, beta, Curve(s, word, ImagePosition(((phi, n),), gamma))))
+    return PALFSpec(s, (alpha, beta, Curve(s, word, ((phi, n),), gamma)))

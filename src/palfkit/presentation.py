@@ -153,6 +153,12 @@ def simplify_presentation(p: Presentation, budget: int = 200) -> SimplifyResult:
     Returns ``TRIVIAL`` only when the presentation collapses to zero
     generators; this is sound but deliberately incomplete, so
     ``UNKNOWN`` does not mean the group is nontrivial.
+
+    Every move keeps H1, and a trivial group has H1 = 0, so a presentation
+    with H1 != 0 can only end ``UNKNOWN``; the search still runs on it,
+    product moves included.  ``report.palf_summary`` skips the search for
+    that reason; a library caller should likewise check
+    ``p.abelianization_invariants() == (0, ())`` first.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")

@@ -13,9 +13,9 @@ whose word is a run ``c = xi ... xj`` sends each enclosed generator ``xk``
 to ``c xk c^-1`` and fixes the rest: twisting is conjugation by ``c``
 (Farb-Margalit, *A Primer on Mapping Class Groups*, Ch. 9), and
 :func:`dehn_twist` builds it without the :class:`MappingClass` check, by
-the proof in its docstring.  An image curve keeps its factors: ``apply``
-records the powered maps that carried a base curve to it, and its twist is
-the conjugated twist of the base.  Any other word, a curve about a
+the proof in its docstring.  An image curve keeps the powered maps that
+carried its base to it (``Curve.factors``, ``Curve.base``), and its twist
+is the conjugated twist of the base.  Any other word, a curve about a
 non-consecutive hole set included, is not twistable in this direct form
 (the conjugation recipe is no longer induced by a homeomorphism); build
 its twist through :func:`twist_of_image` instead, e.g. from a
@@ -25,14 +25,10 @@ its twist through :func:`twist_of_image` instead, e.g. from a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .words import FreeGroup, Word, are_conjugate, substitute
-
-OVER = "over"
-UNDER = "under"
 
 
 class UnsupportedCurveError(ValueError):
@@ -68,45 +64,38 @@ class PlanarSurface:
         return f"S(0,{self.holes})"
 
 
-@dataclass(frozen=True)
-class ImagePosition:
-    """Provenance of a curve obtained as a mapping-class image: the curve is
-    the image of ``base`` under ``phi1^n1 ... phim^nm``, where ``factors`` is
-    ``((phi1, n1), ..., (phim, nm))`` and the rightmost factor applies first.
-    :func:`apply` never takes an image as ``base``."""
-
-    factors: tuple[tuple["MappingClass", int], ...]
-    base: "Curve"
-
-    @property
-    def composite(self) -> "MappingClass":
-        """The product of the factors, built only when it is read (to twist
-        about the curve)."""
-        return _product(self.factors)
-
-
 class Curve:
     """A simple closed curve recorded by a representative word in pi1.
+
+    An image curve is the image of ``base`` under ``phi1^n1 ... phim^nm``,
+    where ``factors`` is ``((phi1, n1), ..., (phim, nm))``, the rightmost
+    applied first, and ``base`` is not itself an image.  Any other curve
+    has ``factors == ()`` and ``base is None``; one without the other is
+    refused.
 
     Isotopy is not decided; two Curve values describe the same free
     homotopy class when their words are conjugate (see
     :func:`are_conjugate`).
     """
 
-    __slots__ = ("surface", "word", "homology_class", "provenance")
+    __slots__ = ("surface", "word", "homology_class", "factors", "base")
 
     def __init__(
         self,
         surface: PlanarSurface,
         word: Word,
-        provenance: ImagePosition | None = None,
+        factors: tuple[tuple[MappingClass, int], ...] = (),
+        base: Curve | None = None,
     ):
         if word.group != surface.group:
             raise ValueError("curve word does not live on the surface")
+        if bool(factors) != (base is not None):
+            raise ValueError("an image curve needs both its factors and its base")
         self.surface = surface
         self.word = word
         self.homology_class = word.exponent_vector()
-        self.provenance = provenance
+        self.factors = factors
+        self.base = base
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Curve) and self.surface == other.surface and self.word == other.word
@@ -122,19 +111,17 @@ class Curve:
         return not any(self.homology_class)
 
 
-def standard_curve(
-    surface: PlanarSurface,
-    holes: Sequence[int],
-    side_choices: Mapping[int, str] | None = None,
-) -> Curve:
+def standard_curve(surface: PlanarSurface, holes: Sequence[int], sides: str = "") -> Curve:
     """A curve in standard position enclosing the given holes.
 
-    The word is the product of the enclosed generators in hole order;
-    a generator reached by passing *over* an intervening skipped hole is
-    conjugated by the skipped generators, e.g. holes ``{1, 3}`` with
-    hole 2 flagged ``over`` gives ``x1 (x2 x3 x2^-1)`` while ``under``
-    gives ``x1 x3``.  A set containing the outer hole ``r`` is replaced
-    by its complement, which describes the same curve.
+    The word is the product of the enclosed generators in hole order.
+    ``sides`` has one flag per hole skipped between the first and last
+    enclosed hole, in increasing order: ``o`` when the curve passes *over*
+    it, which conjugates the next enclosed generator by the skipped one, or
+    ``u`` (under).  So holes ``{1, 3}`` give ``x1 (x2 x3 x2^-1)`` with
+    ``sides="o"`` and ``x1 x3`` with ``sides="u"``.  A set containing the
+    outer hole ``r`` is replaced by its complement, which describes the
+    same curve.
     """
     hole_set = set(holes)
     if not hole_set:
@@ -149,25 +136,14 @@ def standard_curve(
 
     enclosed = sorted(hole_set)
     skipped = [h for h in range(enclosed[0] + 1, enclosed[-1]) if h not in hole_set]
-    sides = dict(side_choices or {})
-    unknown = set(sides) - set(skipped)
-    if unknown:
-        raise ValueError(f"side choices given for non-skipped holes {sorted(unknown)}")
-    missing = [h for h in skipped if h not in sides]
-    if missing:
-        raise ValueError(f"side choices required for skipped holes {missing}")
-    bad = {h: s for h, s in sides.items() if s not in (OVER, UNDER)}
-    if bad:
-        raise ValueError(f"side choices must be '{OVER}' or '{UNDER}', got {bad}")
+    if len(sides) != len(skipped) or set(sides) - {"o", "u"}:
+        raise ValueError(f"expected one 'o'/'u' flag per skipped hole {skipped}, got {sides!r}")
+    over = {h for h, flag in zip(skipped, sides) if flag == "o"}
 
     letters: list[int] = []
-    prev = enclosed[0]
-    for h in enclosed:
-        gap_over = [s for s in range(prev + 1, h) if sides.get(s) == OVER]
-        letters.extend(gap_over)
-        letters.append(h)
-        letters.extend(-s for s in reversed(gap_over))
-        prev = h
+    for prev, h in zip(enclosed[:1] + enclosed, enclosed):
+        passed = [g for g in range(prev + 1, h) if g in over]
+        letters += passed + [h] + [-g for g in reversed(passed)]
     return Curve(surface, Word(surface.group, letters))
 
 
@@ -282,11 +258,10 @@ def apply(phi: MappingClass, target: Curve, n: int = 1) -> Curve:
     n < 0) to the target word.  phi is injective, so an orbit that repeats
     first comes back to the target word; when step i does, |n| mod i more
     steps finish it, and a map fixing the curve costs one step whatever n
-    is.  The provenance is ``ImagePosition(((phi, n),) + factors, base)``
-    over the target's factors and base for an image target, and
-    ``ImagePosition(((phi, n),), target)`` for any other.  No map is
-    composed or powered here; :attr:`ImagePosition.composite` multiplies
-    the factors when a twist reads it.
+    is.  The image's factors are ``(phi, n)`` followed by the target's, and
+    its base is the target's base, or the target itself when it has no
+    factors.  No map is composed or powered here; :func:`dehn_twist`
+    multiplies the factors when it twists about the image.
     """
     if target.surface != phi.surface:
         raise ValueError("curve does not live on the mapping class surface")
@@ -299,16 +274,14 @@ def apply(phi: MappingClass, target: Curve, n: int = 1) -> Curve:
             for _ in range(steps % i):
                 word = step(word)
             break
-    prov = target.provenance
-    factors, base = (prov.factors, prov.base) if prov is not None else ((), target)
-    return Curve(phi.surface, word, ImagePosition(((phi, n),) + factors, base))
+    return Curve(phi.surface, word, ((phi, n),) + target.factors, target.base or target)
 
 
 def dehn_twist(curve: Curve) -> MappingClass:
     """The positive Dehn twist about a curve whose word is a run, or about
     an image curve.
 
-    A curve with no provenance twists directly exactly when its word is a
+    A curve with no factors twists directly exactly when its word is a
     run ``c = xa ... xb`` (1 <= a <= b): the curve then encloses holes a..b
     in standard position, and conjugation by c is the honest twist action.
     This twist is built without the :class:`MappingClass` check.  phi sends
@@ -326,12 +299,12 @@ def dehn_twist(curve: Curve) -> MappingClass:
     Those are the two facts the constructor would check.  Every other word
     (a rotation or the inverse of a run, a conjugate, a skipped standard
     curve) raises :class:`UnsupportedCurveError`.  An image curve twists as
-    the conjugated twist of its base, which is built first: a base that
+    ``P t P^-1``, with ``t`` the twist about ``curve.base`` and ``P`` the
+    product of ``curve.factors``.  ``t`` is built first, so a base that
     raises does so before any factor is composed.
     """
-    prov = curve.provenance
-    if prov is not None:
-        return _conjugated(dehn_twist(prov.base), prov.composite)
+    if curve.factors:
+        return _conjugated(dehn_twist(curve.base), _product(curve.factors))
     c = curve.word
     a = c.letters[0] if c.letters else 0
     b = a + len(c) - 1

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 
 from conftest import random_laurent, random_presentation
-from palfkit import grammar, lefschetz, surface
+from palfkit import cli, grammar, lefschetz, surface
 from palfkit.grammar import (
     MAX_HOLES,
     MAX_NESTING,
@@ -20,8 +20,6 @@ from palfkit.grammar import (
 from palfkit.laurent import LaurentPoly
 from palfkit.lefschetz import family_twists, mazur_family
 from palfkit.surface import (
-    OVER,
-    UNDER,
     MappingClass,
     PlanarSurface,
     apply,
@@ -247,18 +245,47 @@ def test_family_file_matches_generator():
 
 
 def test_side_flag_words():
-    s = PlanarSurface(4)
-    over = parse_monodromy("S(0,4); T std{1,3/o}").cycles[0]
-    under = parse_monodromy("S(0,4); T std{1,3/u}").cycles[0]
-    assert over.word == standard_curve(s, (1, 3), {2: OVER}).word
-    assert under.word == standard_curve(s, (1, 3), {2: UNDER}).word
+    # the parsed word, standard_curve on the same flag string, and an oracle
+    # that conjugates each enclosed generator by the over-flagged generators
+    # between it and the previous enclosed hole
+    rng = random.Random(31)
+    flagged = 0
+    for _ in range(600):
+        s = PlanarSurface(rng.randrange(4, 10))
+        holes = rng.sample(range(1, s.holes), rng.randrange(1, s.holes))
+        enclosed = sorted(holes)
+        skipped = [h for h in range(enclosed[0] + 1, enclosed[-1]) if h not in holes]
+        flags = "".join(rng.choice("ou") for _ in skipped)
+        text = f"S(0,{s.holes}); T std{{{','.join(map(str, holes))}{'/' + flags if flags else ''}}}"
+        parsed = parse_monodromy(text).cycles[0].word
+
+        gens = s.group.generators()
+        over = {h for h, flag in zip(skipped, flags) if flag == "o"}
+        expected = s.group.identity
+        for prev, h in zip([enclosed[0]] + enclosed, enclosed):
+            passed = s.group.word(sorted(over & set(range(prev, h))))
+            expected = expected * gens[h - 1].conjugate(passed)
+
+        assert parsed == standard_curve(s, holes, flags).word == expected, text
+        flagged += bool(flags)
+    assert flagged >= 200
 
 
-def test_missing_side_flags():
-    with pytest.raises(ParseError):
-        parse_monodromy("S(0,4); T std{1,3}")
-    with pytest.raises(ParseError):
-        parse_monodromy("S(0,4); T std{1,3/ou}")
+def test_missing_side_flags(tmp_path, capsys):
+    # a flag error points at the flags, and a curve with none at its 'std'
+    cases = [
+        ("S(0,4); T std{1,3}", "[2], got '' (line 1, column 11)"),
+        ("S(0,4); T std{1,3/ou}", "[2], got 'ou' (line 1, column 19)"),
+        ("S(0,4); T std{1,2/o}", "[], got 'o' (line 1, column 19)"),
+        ("S(0,5); T std{1,4/Ou}", "[2, 3], got 'Ou' (line 1, column 19)"),
+    ]
+    source = tmp_path / "input.palf"
+    for text, message in cases:
+        source.write_text(text, encoding="utf-8")
+        assert cli.main(["palf", "--input", str(source)]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: expected one 'o'/'u' flag per skipped hole {message}\n"
 
 
 def test_hole_out_of_range():
@@ -424,7 +451,7 @@ def test_multi_factor_apply_composes_nothing(monkeypatch):
     spec = parse_monodromy(text)
     monkeypatch.undo()
     assert spec == parse_monodromy(text)
-    assert [len(c.provenance.factors) for c in spec.cycles] == [3, 4, 4]
+    assert [len(c.factors) for c in spec.cycles] == [3, 4, 4]
 
 
 def test_nesting_limit():

@@ -20,13 +20,13 @@ from palfkit.lefschetz import (
 )
 from palfkit.surface import (
     Curve,
-    ImagePosition,
     MappingClass,
     PlanarSurface,
     apply,
     compose,
     dehn_twist,
     power,
+    _product,
     standard_curve,
     twist_of_image,
 )
@@ -263,11 +263,11 @@ def test_family_closed_form_matches_iterated_phi():
         spec = mazur_family(n)
         assert spec.cycles[2].word == word, n
         if n <= 60:
-            iterated = PALFSpec(s, (alpha, beta, Curve(s, word, ImagePosition(((phi, n),), gamma))))
+            iterated = PALFSpec(s, (alpha, beta, Curve(s, word, ((phi, n),), gamma)))
             assert spec == iterated
             assert spec.cycles[2].homology_class == iterated.cycles[2].homology_class
-            prov = spec.cycles[2].provenance
-            assert (prov.factors, prov.base) == (((phi, n),), gamma)
+            cycle = spec.cycles[2]
+            assert (cycle.factors, cycle.base) == (((phi, n),), gamma)
         word = phi(word)
 
 
@@ -304,9 +304,8 @@ def test_family_cycle_provenance_is_phi_to_the_n():
     gamma = family_curves()[2]
     for n in range(6):
         cycle = mazur_family(n).cycles[2]
-        prov = cycle.provenance
-        assert prov.factors == ((phi, n),)
-        assert prov.base.word == gamma.word
+        assert cycle.factors == ((phi, n),)
+        assert cycle.base.word == gamma.word
         assert dehn_twist(cycle) == twist_of_image(power(phi, n), gamma)
         assert dehn_twist(cycle)(S4.delta) == S4.delta
 
@@ -328,9 +327,9 @@ def test_apply_to_family_cycle_flattens_provenance():
         cycle = mazur_family(n).cycles[2]
         psi = random_twist_product(rng, S4)
         image = apply(psi, cycle)
-        assert image.provenance.base is cycle.provenance.base
-        assert image.provenance.factors == ((psi, 1), (phi, n))
-        assert image.provenance.composite == compose(psi, power(phi, n))
+        assert image.base is cycle.base
+        assert image.factors == ((psi, 1), (phi, n))
+        assert _product(image.factors) == compose(psi, power(phi, n))
         assert image.word == psi(cycle.word)
 
 

@@ -6,8 +6,6 @@ from conftest import random_run_twist, random_twist_product, random_word
 from palfkit.grammar import parse_monodromy
 from palfkit.lefschetz import mazur_family
 from palfkit.surface import (
-    OVER,
-    UNDER,
     Curve,
     MappingClass,
     PlanarSurface,
@@ -17,6 +15,7 @@ from palfkit.surface import (
     dehn_twist,
     half_twist,
     power,
+    _product,
     standard_curve,
     twist_of_image,
 )
@@ -31,16 +30,16 @@ X1, X2, X3 = S4.group.generators()
 def test_standard_curve_examples():
     assert standard_curve(S4, (1,)).word == X1
     assert standard_curve(S4, (1, 2)).word == X1 * X2
-    far = standard_curve(S4, (1, 3), {2: OVER})
+    far = standard_curve(S4, (1, 3), "o")
     assert far.word.letters == (1, 2, 3, -2)
-    near = standard_curve(S4, (1, 3), {2: UNDER})
+    near = standard_curve(S4, (1, 3), "u")
     assert near.word == X1 * X3
 
 
 def test_standard_curve_classes():
     assert standard_curve(S4, (1,)).homology_class == (1, 0, 0)
     assert standard_curve(S4, (1, 2)).homology_class == (1, 1, 0)
-    assert standard_curve(S4, (1, 3), {2: OVER}).homology_class == (1, 0, 1)
+    assert standard_curve(S4, (1, 3), "o").homology_class == (1, 0, 1)
 
 
 def test_standard_curve_errors():
@@ -52,12 +51,15 @@ def test_standard_curve_errors():
         standard_curve(S4, (0,))
     with pytest.raises(ValueError):
         standard_curve(S4, (1, 2, 3, 4))  # encloses everything
-    with pytest.raises(ValueError):
-        standard_curve(S4, (1, 3))  # missing side choice
-    with pytest.raises(ValueError):
-        standard_curve(S4, (1, 3), {2: "sideways"})
-    with pytest.raises(ValueError):
-        standard_curve(S4, (1, 2), {2: OVER})  # side for a non-skipped hole
+    flags = "expected one 'o'/'u' flag per skipped hole"
+    with pytest.raises(ValueError, match=f"{flags} \\[2\\], got ''"):
+        standard_curve(S4, (1, 3))  # missing side flag
+    with pytest.raises(ValueError, match=f"{flags} \\[2\\], got 'x'"):
+        standard_curve(S4, (1, 3), "x")
+    with pytest.raises(ValueError, match=f"{flags} \\[2\\], got 'oo'"):
+        standard_curve(S4, (1, 3), "oo")  # one flag too many
+    with pytest.raises(ValueError, match=f"{flags} \\[\\], got 'o'"):
+        standard_curve(S4, (1, 2), "o")  # a flag with no skipped hole
 
 
 def test_outer_hole_complement():
@@ -100,9 +102,9 @@ def test_twist_fixes_own_curve():
 
 
 def test_skipped_position_unsupported():
-    for side in (OVER, UNDER):
+    for side in "ou":
         with pytest.raises(UnsupportedCurveError):
-            dehn_twist(standard_curve(S4, (1, 3), {2: side}))
+            dehn_twist(standard_curve(S4, (1, 3), side))
 
 
 def test_bare_curve_unsupported():
@@ -363,13 +365,26 @@ def test_apply_on_curves_tracks_class_and_provenance():
     phi = dehn_twist(standard_curve(S4, (1, 2)))
     image = apply(phi, gamma)
     assert image.homology_class == gamma.homology_class
-    assert image.provenance.base is gamma
+    assert image.base is gamma
     again = apply(phi, image)
-    assert again.provenance.base is gamma  # an image target keeps its base
+    assert again.base is gamma  # an image target keeps its base
     assert again.word == phi(phi(gamma.word))
-    assert image.provenance.factors == ((phi, 1),)
-    assert again.provenance.factors == ((phi, 1), (phi, 1))
-    assert again.provenance.composite == compose(phi, phi)
+    assert image.factors == ((phi, 1),)
+    assert again.factors == ((phi, 1), (phi, 1))
+    assert _product(again.factors) == compose(phi, phi)
+    assert (gamma.factors, gamma.base) == ((), None)
+
+
+def test_curve_takes_factors_and_base_together():
+    # an image curve with no factors, or factors with no base, has no twist
+    # to conjugate; the constructor refuses both
+    gamma = standard_curve(S4, (2, 3))
+    phi = dehn_twist(standard_curve(S4, (1, 2)))
+    for factors, base in (((), gamma), (((phi, 1),), None)):
+        with pytest.raises(ValueError, match="both its factors and its base"):
+            Curve(S4, phi(gamma.word), factors, base)
+    image = Curve(S4, phi(gamma.word), ((phi, 1),), gamma)
+    assert dehn_twist(image) == twist_of_image(phi, gamma)
 
 
 def _twist_power_product(rng, surface):
@@ -399,7 +414,7 @@ def test_apply_power_matches_composed_power():
         for k in range(-4, 5):
             stepped, composed = apply(phi, target, k), apply(power(phi, k), target)
             assert stepped.word == composed.word
-            assert stepped.provenance.composite == composed.provenance.composite
+            assert _product(stepped.factors) == _product(composed.factors)
             assert dehn_twist(stepped) == dehn_twist(composed)
             cases += 1
     assert cases >= 500
@@ -430,7 +445,7 @@ def test_apply_cuts_the_orbit_at_its_first_return(monkeypatch):
         steps.clear()
         image = apply(swap, c1, n)
         assert image.word == y2
-        assert image.provenance.factors == ((swap, n),)
+        assert image.factors == ((swap, n),)
 
 
 # -- image twists and the lantern -------------------------------------------
@@ -469,8 +484,8 @@ def test_image_twists_satisfy_mapping_class_invariants():
 
 
 def test_half_twist_produces_skip_curves():
-    assert apply(half_twist(S4, 2), standard_curve(S4, (1, 2))).word == standard_curve(S4, (1, 3), {2: OVER}).word
-    assert apply(half_twist(S4, 1), standard_curve(S4, (2, 3))).word == standard_curve(S4, (1, 3), {2: UNDER}).word
+    assert apply(half_twist(S4, 2), standard_curve(S4, (1, 2))).word == standard_curve(S4, (1, 3), "o").word
+    assert apply(half_twist(S4, 1), standard_curve(S4, (2, 3))).word == standard_curve(S4, (1, 3), "u").word
     with pytest.raises(ValueError):
         half_twist(S4, 3)
 
