@@ -130,10 +130,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly._trusted(out)
+        return self + -other
 
     def __rsub__(self, other: int) -> LaurentPoly:
         other = self._coerce(other)

@@ -94,7 +94,7 @@ def allowable(spec: PALFSpec) -> tuple[bool, int | None]:
     Returns ``(True, None)`` or ``(False, index of the first offender)``.
     """
     for i, c in enumerate(spec.cycles):
-        if c.is_nullhomologous:
+        if not any(c.homology_class):
             return False, i
     return True, None
 

@@ -17,9 +17,9 @@ the proof in its docstring.  An image curve keeps the powered maps that
 carried its base to it (``Curve.factors``, ``Curve.base``), and its twist
 is the conjugated twist of the base.  Any other word, a curve about a
 non-consecutive hole set included, is not twistable in this direct form
-(the conjugation recipe is no longer induced by a homeomorphism); build
-its twist through :func:`twist_of_image` instead, e.g. from a
-:func:`half_twist` image.  Mapping classes compose right to left:
+(the conjugation recipe is no longer induced by a homeomorphism); twist
+it as an image instead, ``dehn_twist(apply(phi, c))``, e.g. with ``phi``
+a :func:`half_twist`.  Mapping classes compose right to left:
 ``compose(f, g)`` applies ``g`` first.
 """
 
@@ -105,10 +105,6 @@ class Curve:
 
     def __repr__(self) -> str:
         return f"Curve({self.word!s})"
-
-    @property
-    def is_nullhomologous(self) -> bool:
-        return not any(self.homology_class)
 
 
 def standard_curve(surface: PlanarSurface, holes: Sequence[int], sides: str = "") -> Curve:
@@ -300,11 +296,13 @@ def dehn_twist(curve: Curve) -> MappingClass:
     (a rotation or the inverse of a run, a conjugate, a skipped standard
     curve) raises :class:`UnsupportedCurveError`.  An image curve twists as
     ``P t P^-1``, with ``t`` the twist about ``curve.base`` and ``P`` the
-    product of ``curve.factors``.  ``t`` is built first, so a base that
-    raises does so before any factor is composed.
+    product of ``curve.factors``; so ``dehn_twist(apply(phi, c))`` twists about
+    phi(c).  ``t`` comes first, so a bad base raises before P is composed.
     """
     if curve.factors:
-        return _conjugated(dehn_twist(curve.base), _product(curve.factors))
+        t = dehn_twist(curve.base)
+        P = _product(curve.factors)
+        return compose(compose(P, t), P.inverse())
     c = curve.word
     a = c.letters[0] if c.letters else 0
     b = a + len(c) - 1
@@ -318,14 +316,8 @@ def dehn_twist(curve: Curve) -> MappingClass:
 
 
 def twist_of_image(phi: MappingClass, curve: Curve) -> MappingClass:
-    """Twist about the image curve phi(curve), as phi t_curve phi^-1."""
-    return _conjugated(dehn_twist(curve), phi)
-
-
-def _conjugated(twist: MappingClass, phi: MappingClass) -> MappingClass:
-    """``phi twist phi^-1``, the twist about the image under phi of the
-    twist's curve."""
-    return compose(compose(phi, twist), phi.inverse())
+    """The twist about phi(curve); shorthand for ``dehn_twist(apply(phi, curve))``."""
+    return dehn_twist(apply(phi, curve))
 
 
 def half_twist(surface: PlanarSurface, i: int) -> MappingClass:

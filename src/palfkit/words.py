@@ -10,12 +10,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
-def default_names(rank: int) -> tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(rank))
-
-
 class FreeGroup:
-    """A free group of finite rank with printable generator names."""
+    """A free group of finite rank; generators print as ``x1 .. x(rank)`` unless named."""
 
     __slots__ = ("rank", "names")
 
@@ -23,7 +19,7 @@ class FreeGroup:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         if names is None:
-            names = default_names(rank)
+            names = tuple(f"x{i + 1}" for i in range(rank))
         if len(names) != rank:
             raise ValueError(f"expected {rank} generator names, got {len(names)}")
         if len(set(names)) != rank:

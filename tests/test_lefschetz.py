@@ -6,6 +6,7 @@ import pytest
 from conftest import minor_gcd_cokernel, random_twist_product, random_word
 from palfkit import lefschetz
 from palfkit.intmatrix import IntMatrix, cokernel_invariants, det
+from palfkit.knots import alexander_from_presentation, closed_form_factor
 from palfkit.lefschetz import (
     HomologyResult,
     PALFSpec,
@@ -18,6 +19,7 @@ from palfkit.lefschetz import (
     mazur_family,
     pi1_presentation,
 )
+from palfkit.presentation import TRIVIAL, Presentation, simplify_presentation
 from palfkit.surface import (
     Curve,
     MappingClass,
@@ -30,6 +32,7 @@ from palfkit.surface import (
     standard_curve,
     twist_of_image,
 )
+from palfkit.words import FreeGroup, substitute
 
 S4 = PlanarSurface(4)
 
@@ -342,6 +345,34 @@ def test_family_open_books_depend_on_n():
     # not just the cycle words: the twists about them must differ in n
     twists = [dehn_twist(mazur_family(n).cycles[2]) for n in range(4)]
     assert len({t.images for t in twists}) == 4
+
+
+def _knot_group(p: Presentation) -> Presentation:
+    # drop the alpha relator x1 and eliminate x2 = x1^-1 through the beta
+    # relator x1 x2, leaving <x1, x3 | the third relator>
+    group = FreeGroup(2, ("x1", "x3"))
+    x1, x3 = group.generators()
+    return Presentation(group, [substitute(p.relators[2], [x1, x1.inverse(), x3])])
+
+
+def test_knot_factor_follows_from_the_palf():
+    # the knot column f(t) is read off the PALF's own pi1, not matched to
+    # the ribbon group by index: q has 6n letters and two Fox cells
+    for n in list(range(1, 21)) + [60]:
+        q = _knot_group(pi1_presentation(mazur_family(n)))
+        assert len(q.relators[0]) == 6 * n
+        assert alexander_from_presentation(q, (1, 1)) == closed_form_factor(n), n
+    # a wrong gamma_n, C^n D^-n for C^(n-1) D^-(n-1), still gives a homology
+    # ball with a trivial pi1 verdict; only its knot group refuses it
+    alpha, beta, _gamma = family_curves()
+    s = alpha.surface
+    d, x2, b, e, c = (s.group.word(getattr(lefschetz, name)) for name in ("_D", "_X2", "_B", "_E", "_C"))
+    for n in (1, 2, 5):
+        mutant = PALFSpec(s, (alpha, beta, Curve(s, d ** n * x2 * b ** n * e * c ** n * d ** -n)))
+        assert homology(mutant).is_point
+        assert simplify_presentation(pi1_presentation(mutant)).verdict == TRIVIAL
+        with pytest.raises(ValueError, match="weighted exponent sum 1"):
+            alexander_from_presentation(_knot_group(pi1_presentation(mutant)), (1, 1))
 
 
 def test_cycles_must_live_on_fiber():

@@ -455,14 +455,37 @@ def test_twist_of_image_identity():
     assert twist_of_image(MappingClass.identity(S4), gamma) == dehn_twist(gamma)
 
 
+def _random_half_twist_product(rng, surface):
+    # one or two half twists of either sign, then run twists
+    phi = MappingClass.identity(surface)
+    for _ in range(rng.randrange(1, 3)):
+        phi = compose(phi, power(half_twist(surface, rng.randrange(1, surface.rank)), rng.choice((-1, 1))))
+    return compose(phi, random_twist_product(rng, surface, 2))
+
+
 def test_twist_of_image_conjugation_oracle():
+    # t = twist_of_image(phi, target) satisfies t phi = phi T_target, for
+    # twist-product and half-twist maps, on standard targets and on targets
+    # that are already images (phi is then prepended to their factors)
     rng = random.Random(66)
     gamma = standard_curve(S4, (2, 3))
+    cases = []
     for _ in range(200):
-        phi = random_twist_product(rng, S4)
-        t = twist_of_image(phi, gamma)
-        w = random_word(rng, S4.group, 8)
-        assert t(phi(w)) == phi(dehn_twist(gamma)(w))
+        cases.append((random_twist_product(rng, S4), gamma, random_word(rng, S4.group, 8)))
+    for trial in range(320):
+        surface = PlanarSurface(4 + trial % 2)
+        lo = rng.randrange(1, surface.holes)
+        target = standard_curve(surface, tuple(range(lo, rng.randrange(lo, surface.holes) + 1)))
+        if trial // 2 % 2:
+            target = apply(rng.choice((random_twist_product, _random_half_twist_product))(rng, surface), target)
+        phi = _random_half_twist_product(rng, surface) if trial // 4 % 2 else random_twist_product(rng, surface)
+        cases.append((phi, target, random_word(rng, surface.group, 8)))
+    for phi, target, w in cases:
+        t = twist_of_image(phi, target)
+        assert t(phi(w)) == phi(dehn_twist(target)(w))
+        assert _two_sided_inverse(t)
+    assert sum(bool(target.factors) for _, target, _ in cases) >= 150
+    assert len(cases) >= 500
 
 
 def test_image_curve_twist_via_provenance():
