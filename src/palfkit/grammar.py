@@ -23,7 +23,9 @@ Monodromies::
 generator) or ``u`` (under); its text is the ``sides`` argument of
 :func:`standard_curve`.  A ``T curve`` factor twists about a run
 ``std{a,a+1,...,b}`` or an ``apply`` image of one; any other curve is a
-:class:`ParseError` at the curve.
+:class:`ParseError` at the curve.  Within one parse, each distinct
+standard curve and run twist is built once and shared, and nothing
+outlives the parse.
 
 Laurent polynomials::
 
@@ -121,6 +123,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        # the standard curves and run twists this parse has built
+        self.curves: dict[tuple[tuple[int, ...], str], Curve] = {}
+        self.twists: dict[tuple[int, ...], MappingClass] = {}
 
     @property
     def current(self) -> _Token:
@@ -176,6 +181,27 @@ class _Parser:
             negative = True
         value = self.expect_int()
         return -value if negative else value
+
+    def standard_curve(self, surface: PlanarSurface, holes: tuple[int, ...], sides: str = "") -> Curve:
+        """``standard_curve(surface, holes, sides)``, built once per parse:
+        one parse has one surface, so (holes, sides) is an exact key.  A
+        ``ValueError`` is raised, never stored."""
+        key = (holes, sides)
+        curve = self.curves.get(key)
+        if curve is None:
+            curve = self.curves[key] = standard_curve(surface, holes, sides)
+        return curve
+
+    def twist(self, curve: Curve) -> MappingClass:
+        """``dehn_twist(curve)``, built once per parse for a curve without
+        factors, whose twist reads only its word and surface.  An image's
+        twist reads every factor map, so it is built each time."""
+        if curve.factors:
+            return dehn_twist(curve)
+        twist = self.twists.get(curve.word.letters)
+        if twist is None:
+            twist = self.twists[curve.word.letters] = dehn_twist(curve)
+        return twist
 
 
 # -- presentations -----------------------------------------------------------
@@ -372,7 +398,7 @@ def _parse_curve(parser: _Parser, surface: PlanarSurface) -> Curve:
         else:
             parser.expect("}")
         try:
-            curve = standard_curve(surface, holes, sides)
+            curve = parser.standard_curve(surface, tuple(holes), sides)
         except ValueError as exc:
             raise ParseError(str(exc), at.line, at.column) from exc
         if sides:
@@ -419,13 +445,13 @@ def _parse_factors(parser: _Parser, surface: PlanarSurface) -> list[tuple[Mappin
             if surface.holes != 4:
                 raise parser.error(f"alias {tok.text!r} is defined on S(0,4) only")
             parser.advance()
-            base = dehn_twist(standard_curve(surface, _ALIASES[tok.text]))
+            base = parser.twist(parser.standard_curve(surface, _ALIASES[tok.text]))
         elif tok.kind == "name" and tok.text == "T":
             parser.advance()
             at = parser.current
             curve = _parse_curve(parser, surface)
             try:
-                base = dehn_twist(curve)
+                base = parser.twist(curve)
             except UnsupportedCurveError as exc:
                 raise ParseError(str(exc), at.line, at.column) from exc
         else:

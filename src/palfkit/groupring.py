@@ -32,6 +32,16 @@ class GroupRingElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, group: FreeGroup, terms: dict[Word, int]) -> GroupRingElement:
+        # skip validation and the copy: every word of ``terms`` lives in
+        # ``group`` and every coefficient is a nonzero int, e.g. the prefix
+        # terms of fox_derivative; ``terms`` is kept, not copied
+        self = object.__new__(cls)
+        self.group = group
+        self.terms = terms
+        return self
+
+    @classmethod
     def zero(cls, group: FreeGroup) -> GroupRingElement:
         return cls(group)
 
@@ -124,15 +134,16 @@ def fox_derivative(word: Word, generator: int) -> GroupRingElement:
     target = generator + 1
     letters = word.letters
     terms: dict[Word, int] = {}
-    # each term is a prefix of the reduced word, so it is reduced and needs
-    # no validation; no two occurrences give the same prefix (a +g right
-    # after a -g would cancel), so every coefficient is +-1
+    # each term is a prefix of the reduced word, so it is reduced, lives in
+    # the word's group and needs no validation; no two occurrences give the
+    # same prefix (a +g right after a -g would cancel), so every coefficient
+    # is +-1 and the dict is a valid element as it stands
     for i, x in enumerate(letters):
         if x == target:
             terms[Word._trusted(group, letters[:i])] = 1
         elif x == -target:
             terms[Word._trusted(group, letters[:i + 1])] = -1
-    return GroupRingElement(group, terms)
+    return GroupRingElement._trusted(group, terms)
 
 
 def abelianize(element: GroupRingElement, weights: Sequence[int]) -> LaurentPoly:

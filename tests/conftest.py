@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import sympy as sp
@@ -47,6 +48,39 @@ def random_twist_product(rng: random.Random, surface: PlanarSurface, max_factors
     for _ in range(rng.randrange(1, max_factors + 1)):
         phi = compose(phi, random_run_twist(rng, surface))
     return phi
+
+
+def _std(run) -> str:
+    return "std{" + ",".join(map(str, run)) + "}"
+
+
+def palf_pool_texts(seed: int) -> list[str]:
+    """The perfbench palf pool for one seed, rebuilt here in pool order
+    before its final shuffle: the grid of three-cycle inputs on S(0,4)
+    (every word and power on each base), then 32 seeded short
+    factorizations on each of S(0,4..7)."""
+    choices = list(itertools.product(("Tg Tb", "Tb Tg", "Tg Ta Tb", "Ta Tg"), (2, 3)))
+    bases = ((1, 2), (2, 3), (1, 2))
+    texts = [
+        "S(0,4); " + "; ".join(f"T apply(({w})^{k}, {_std(run)})" for (w, k), run in zip(cycles, bases))
+        for cycles in itertools.product(choices, repeat=len(bases))
+    ]
+    rng = random.Random(seed)
+    for holes in (4, 5, 6, 7):
+        runs = [tuple(range(i, j + 1)) for i in range(1, holes) for j in range(i, holes)]
+        for _ in range(32):
+            entries = []
+            for _ in range(rng.randint(1, holes + 2)):
+                run = rng.choice(runs)
+                if rng.random() < 0.5:
+                    curve = _std(run)
+                else:
+                    factors = " ".join(f"(T {_std(rng.choice(runs))})^{rng.choice((-3, -2, -1, 1, 2, 3))}"
+                                       for _ in range(rng.randint(1, 2)))
+                    curve = f"apply({factors}, {_std(run)})"
+                entries.append(f"T {curve}")
+            texts.append(f"S(0,{holes}); " + "; ".join(entries))
+    return texts
 
 
 def to_sympy(p: LaurentPoly):

@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from conftest import random_laurent, random_presentation
+from conftest import palf_pool_texts, random_laurent, random_presentation
 from palfkit import cli, grammar, lefschetz, surface
 from palfkit.grammar import (
     MAX_HOLES,
@@ -452,6 +452,145 @@ def test_multi_factor_apply_composes_nothing(monkeypatch):
     monkeypatch.undo()
     assert spec == parse_monodromy(text)
     assert [len(c.factors) for c in spec.cycles] == [3, 4, 4]
+
+
+# -- sharing within one parse ---------------------------------------------------
+
+def _shared_factor(rng, holes, runs, image=True):
+    # a factor over a few runs, so that parses repeat curves and twists:
+    # an alias, a run twist or the twist about an image of a run
+    pick = rng.random()
+    if holes == 4 and pick < 0.3:
+        text = rng.choice(("Ta", "Tb", "Tg"))
+    elif pick < 0.85 or not image:
+        text = f"T {_std(rng.choice(runs))}"
+    else:
+        text = f"T apply({_shared_factor(rng, holes, runs, False)}, {_std(rng.choice(runs))})"
+    k = rng.choice((-2, -1, 1, 1, 2))
+    return text if k == 1 else f"({text})^{k}"
+
+
+def _shared_curve(rng, holes, runs, image=True):
+    # a run, a skipped standard curve, or an image of either
+    pick = rng.random()
+    if pick < 0.3 or (pick >= 0.4 and not image):
+        return _std(rng.choice(runs))
+    if pick < 0.4:
+        return f"std{{1,{holes - 1}/{''.join(rng.choice('ou') for _ in range(holes - 3))}}}"
+    factors = " ".join(_shared_factor(rng, holes, runs) for _ in range(rng.randint(1, 2)))
+    return f"apply({factors}, {_shared_curve(rng, holes, runs, rng.random() < 0.3)})"
+
+
+def _shared_inputs(rng, count):
+    # (surface, entries) on S(0,4..7) where entries repeat whole and reuse
+    # one curve as a cycle, as a twist factor and as an apply target
+    for _ in range(count):
+        holes = rng.randrange(4, 8)
+        every_run = [tuple(range(a, b + 1)) for a in range(1, holes) for b in range(a, holes)]
+        runs = rng.sample(every_run, 3)
+        entries = []
+        for _ in range(rng.randint(2, 5)):
+            if entries and rng.random() < 0.3:
+                entries.append(rng.choice(entries))
+            else:
+                entries.append(f"T {_shared_curve(rng, holes, runs)}")
+        yield PlanarSurface(holes), entries
+
+
+def _assert_same_curve(a, b):
+    assert a.word == b.word and a.homology_class == b.homology_class
+    assert (a.base is None and b.base is None) or a.base.word == b.base.word
+    assert len(a.factors) == len(b.factors)
+    for (phi, m), (psi, n) in zip(a.factors, b.factors):
+        assert m == n and phi.images == psi.images and phi.inverse_images == psi.inverse_images
+
+
+def test_a_shared_parse_equals_separate_parses():
+    # each cycle of one parse, whose curves and run twists are built once and
+    # shared, equals its entry parsed alone; separate parses share nothing
+    inputs = [(parse_surface(text.split(";")[0]), text.split("; ")[1:]) for text in palf_pool_texts(1)]
+    inputs += _shared_inputs(random.Random(38), 400)
+    shared = 0
+    for s, entries in inputs:
+        spec = parse_monodromy(f"S(0,{s.holes}); " + "; ".join(entries))
+        assert len(spec.cycles) == len(entries)
+        for cycle, entry in zip(spec.cycles, entries):
+            [alone] = parse_monodromy(f"S(0,{s.holes}); {entry}").cycles
+            _assert_same_curve(cycle, alone)
+        shared += len({id(c) for c in spec.cycles}) < len(spec.cycles)
+    assert len(inputs) == 1040 and shared >= 50
+
+
+def test_a_shared_mapping_class_equals_the_product_of_separate_parses():
+    rng = random.Random(39)
+    for _ in range(500):
+        holes = rng.randrange(4, 8)
+        every_run = [tuple(range(a, b + 1)) for a in range(1, holes) for b in range(a, holes)]
+        runs = rng.sample(every_run, 2)
+        s = PlanarSurface(holes)
+        factors = [_shared_factor(rng, holes, runs) for _ in range(rng.randint(2, 3))]
+        phi = parse_mapping_class(" ".join(factors), s)
+        expected = reduce(compose, (parse_mapping_class(f, s) for f in factors))
+        assert phi.images == expected.images and phi.inverse_images == expected.inverse_images
+
+
+def _count_builds(monkeypatch):
+    # the standard-curve keys and twisted words grammar builds, in order
+    curves, twists = [], []
+
+    def counting_curve(surface, holes, sides="", _curve=grammar.standard_curve):
+        curves.append((tuple(holes), sides))
+        return _curve(surface, holes, sides)
+
+    def counting_twist(curve, _twist=grammar.dehn_twist):
+        twists.append(curve.word.letters)
+        return _twist(curve)
+
+    monkeypatch.setattr(grammar, "standard_curve", counting_curve)
+    monkeypatch.setattr(grammar, "dehn_twist", counting_twist)
+    return curves, twists
+
+
+def test_a_parse_builds_each_distinct_curve_and_run_twist_once(monkeypatch):
+    curves, twists = _count_builds(monkeypatch)
+    # a class-b input: Tb and std{1,2}, and Tg and std{2,3}, share a key
+    text = "S(0,4); T apply((Tg Ta Tb)^2, std{1,2}); T apply((Ta Tg)^3, std{2,3}); T apply((Tg Tb)^2, std{1,2})"
+    parse_monodromy(text)
+    assert curves == [((2, 3), ""), ((1,), ""), ((1, 2), "")]
+    assert twists == [(2, 3), (1,), (1, 2)]
+    parse_monodromy(text)  # nothing outlives a parse
+    assert len(curves) == len(twists) == 6
+    del curves[:], twists[:]
+    s = PlanarSurface(4)
+    parse_mapping_class("Tb T std{1,2} (Tb)^2 T apply(Tb, std{2,3}) T apply(Tb, std{2,3})", s)
+    image = apply(dehn_twist(standard_curve(s, (1, 2))), standard_curve(s, (2, 3))).word.letters
+    assert curves == [((1, 2), ""), ((2, 3), "")]
+    assert twists == [(1, 2), image, image]  # an image's twist is built each time
+    # over the seed-1 palf pool no key is built twice within one parse
+    total_curves = total_twists = 0
+    for text in palf_pool_texts(1):
+        del curves[:], twists[:]
+        parse_monodromy(text)
+        assert len(set(curves)) == len(curves) and len(set(twists)) == len(twists), text
+        total_curves += len(curves)
+        total_twists += len(twists)
+    assert (total_curves, total_twists) == (2130, 1814)
+
+
+def test_errors_of_shared_curves_keep_their_position(tmp_path, capsys):
+    # a shared curve whose twist is refused, and a key that differs only in
+    # its flags, fail at the occurrence that fails, with unchanged bytes
+    cases = [
+        ("S(0,4); T std{1,3/o}; T apply(T std{1,3/o}, std{1})",
+         "error: no direct twist about x1 x2 x3 x2^-1: its word is not a run xa ... xb (line 1, column 33)\n"),
+        ("S(0,4); T std{1,3/o}; T std{1,3}",
+         "error: expected one 'o'/'u' flag per skipped hole [2], got '' (line 1, column 25)\n"),
+    ]
+    source = tmp_path / "input.palf"
+    for text, err in cases:
+        source.write_text(text, encoding="utf-8")
+        assert cli.main(["palf", "--input", str(source)]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 def test_nesting_limit():

@@ -223,6 +223,19 @@ def test_fox_derivative_terms_are_a_prefix_chain():
                 assert prev is None or len(term) > len(prev)
 
 
+def test_fox_derivative_is_a_valid_element_as_built():
+    # fox_derivative skips the constructor's checks and copy; its terms
+    # must be what the validating constructor would keep
+    rng = random.Random(89)
+    for _ in range(600):
+        rank = rng.randrange(1, 5)
+        w = random_word(rng, FreeGroup(rank), 60)
+        for j in range(rank):
+            d = fox_derivative(w, j)
+            assert d == GroupRingElement(w.group, d.terms)
+            assert all(type(c) is int and c in (1, -1) for c in d.terms.values())
+
+
 def test_abelianize_examples():
     assert abelianize(GroupRingElement.from_word(F2.word([1, 2, -1])), (1, 1)) == LaurentPoly.t()
     elem = ONE + GroupRingElement.from_word(X * Y) - GroupRingElement.from_word(F2.word([1, 2, 1, -2, -1]))

@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import random
 import subprocess
@@ -14,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import palfkit.cli as cli
+from conftest import palf_pool_texts
 import palfkit.grammar as grammar
 import palfkit.knots as knots
 from palfkit.grammar import MAX_HOLES, MAX_NESTING, MAX_WORD_LETTERS, parse_monodromy
@@ -280,40 +280,11 @@ def _std(run):
     return "std{" + ",".join(map(str, run)) + "}"
 
 
-def _palf_pool_texts(seed):
-    # the perfbench palf pool for one seed, rebuilt here in pool order before
-    # its final shuffle: the grid of three-cycle inputs on S(0,4) (every word
-    # and power on each base), then 32 seeded short factorizations on each
-    # of S(0,4..7)
-    choices = list(itertools.product(("Tg Tb", "Tb Tg", "Tg Ta Tb", "Ta Tg"), (2, 3)))
-    bases = ((1, 2), (2, 3), (1, 2))
-    texts = [
-        "S(0,4); " + "; ".join(f"T apply(({w})^{k}, {_std(run)})" for (w, k), run in zip(cycles, bases))
-        for cycles in itertools.product(choices, repeat=len(bases))
-    ]
-    rng = random.Random(seed)
-    for holes in (4, 5, 6, 7):
-        runs = [tuple(range(i, j + 1)) for i in range(1, holes) for j in range(i, holes)]
-        for _ in range(32):
-            entries = []
-            for _ in range(rng.randint(1, holes + 2)):
-                run = rng.choice(runs)
-                if rng.random() < 0.5:
-                    curve = _std(run)
-                else:
-                    factors = " ".join(f"(T {_std(rng.choice(runs))})^{rng.choice((-3, -2, -1, 1, 2, 3))}"
-                                       for _ in range(rng.randint(1, 2)))
-                    curve = f"apply({factors}, {_std(run)})"
-                entries.append(f"T {curve}")
-            texts.append(f"S(0,{holes}); " + "; ".join(entries))
-    return texts
-
-
 def test_cli_palf_output_pinned(tmp_path, capsys):
     # every printed field of `palf` and `palf --json` over the seed-1 palf
     # pool, with the exit codes: any change to parsing, a field or its
     # rendering changes this hash
-    texts = _palf_pool_texts(1)
+    texts = palf_pool_texts(1)
     assert len(texts) == 640
     source = tmp_path / "input.palf"
     digest = hashlib.sha256()
@@ -616,7 +587,7 @@ def test_cli_twist_refuses_an_unsupported_image_base_before_composing(monkeypatc
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["family3", "grid_h1_z", "runs_s07", "images_s05"])
+@pytest.mark.parametrize("name", ["family3", "grid_h1_z", "runs_s07", "images_s05", "shared_s04"])
 def test_cli_palf_data_files_pinned(name, capsys):
     # the tests/data palf inputs against their pinned text and JSON bytes
     for fmt, suffix in (([], ".out"), (["--json"], ".json")):
