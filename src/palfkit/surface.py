@@ -21,6 +21,15 @@ non-consecutive hole set included, is not twistable in this direct form
 it as an image instead, ``dehn_twist(apply(phi, c))``, e.g. with ``phi``
 a :func:`half_twist`.  Mapping classes compose right to left:
 ``compose(f, g)`` applies ``g`` first.
+
+Classes before words.  ``phi`` acts on H1 of the page through the matrix
+A whose column i is the class of ``phi(xi)``, so an image of ``c`` under
+``phi^n`` has the class A^n (class of c), computed with no word.  A is
+the identity for every product of Dehn twists: a twist acts on H1 as
+x -> x +- <x, c> c (Picard-Lefschetz), and the intersection form of a
+planar surface is zero (Gompf-Stipsicz, *4-Manifolds and Kirby
+Calculus*, Ch. 8); a :func:`half_twist` permutes two classes.  An image's
+word is stepped only when something reads it, and then kept on the curve.
 """
 
 from __future__ import annotations
@@ -71,31 +80,63 @@ class Curve:
     where ``factors`` is ``((phi1, n1), ..., (phim, nm))``, the rightmost
     applied first, and ``base`` is not itself an image.  Any other curve
     has ``factors == ()`` and ``base is None``; one without the other is
-    refused.
+    refused, and so is a curve with neither a word nor a base.
+
+    An image's ``homology_class`` is A1^n1 ... Am^nm applied to the base's,
+    where column i of Ak is the class of ``phik(xi)``; no word is read for
+    it.  An image given no word (as :func:`apply` builds it) steps one on
+    the first read of ``word``: the base's word under each powered factor,
+    rightmost first, each power cut at its orbit's first return as in
+    :func:`apply`.  The word is then kept on the curve.
 
     Isotopy is not decided; two Curve values describe the same free
     homotopy class when their words are conjugate (see
     :func:`are_conjugate`).
     """
 
-    __slots__ = ("surface", "word", "homology_class", "factors", "base")
+    __slots__ = ("surface", "_word", "homology_class", "factors", "base")
 
     def __init__(
         self,
         surface: PlanarSurface,
-        word: Word,
+        word: Word | None = None,
         factors: tuple[tuple[MappingClass, int], ...] = (),
         base: Curve | None = None,
     ):
-        if word.group != surface.group:
+        if word is not None and word.group != surface.group:
             raise ValueError("curve word does not live on the surface")
         if bool(factors) != (base is not None):
             raise ValueError("an image curve needs both its factors and its base")
+        if base is not None:
+            homology_class = base.homology_class
+            for phi, n in reversed(factors):
+                homology_class = _class_under(phi, n, homology_class)
+        elif word is not None:
+            homology_class = word.exponent_vector()
+        else:
+            raise ValueError("a curve needs a word or a base")
         self.surface = surface
-        self.word = word
-        self.homology_class = word.exponent_vector()
+        self._word = word
+        self.homology_class = homology_class
         self.factors = factors
         self.base = base
+
+    @property
+    def word(self) -> Word:
+        """The curve's word, stepped from the base's on first read of an image."""
+        if self._word is None:
+            word = self.base.word
+            for phi, n in reversed(self.factors):
+                step = phi if n >= 0 else phi.inverse()
+                start = word
+                for i in range(1, abs(n) + 1):
+                    word = step(word)
+                    if word == start:
+                        for _ in range(abs(n) % i):
+                            word = step(word)
+                        break
+            self._word = word
+        return self._word
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Curve) and self.surface == other.surface and self.word == other.word
@@ -105,6 +146,31 @@ class Curve:
 
     def __repr__(self) -> str:
         return f"Curve({self.word!s})"
+
+
+def _class_under(phi: MappingClass, n: int, vector: tuple[int, ...]) -> tuple[int, ...]:
+    """A^n applied to a homology class, column i of A being the class of
+    ``phi(xi)`` (of ``phi^-1(xi)`` when n < 0), by squaring A once per bit
+    of |n|.  A map acting as the identity on H1 returns the class as is."""
+    columns = [w.exponent_vector() for w in (phi.images if n >= 0 else phi.inverse_images)]
+    if all(c[i] == 1 and sum(map(abs, c)) == 1 for i, c in enumerate(columns)):
+        return vector
+
+    def times(v):
+        out = [0] * len(v)
+        for column, x in zip(columns, v):
+            for j, entry in enumerate(column):
+                out[j] += x * entry
+        return tuple(out)
+
+    k = abs(n)
+    while k:
+        if k & 1:
+            vector = times(vector)
+        k >>= 1
+        if k:
+            columns = [times(column) for column in columns]
+    return vector
 
 
 def standard_curve(surface: PlanarSurface, holes: Sequence[int], sides: str = "") -> Curve:
@@ -250,27 +316,20 @@ def _product(factors: Sequence[tuple[MappingClass, int]]) -> MappingClass:
 def apply(phi: MappingClass, target: Curve, n: int = 1) -> Curve:
     """Image of a curve under ``phi^n``, which keeps its factors.
 
-    The word is |n| applications of ``phi`` (of ``phi.inverse()`` when
-    n < 0) to the target word.  phi is injective, so an orbit that repeats
-    first comes back to the target word; when step i does, |n| mod i more
-    steps finish it, and a map fixing the curve costs one step whatever n
-    is.  The image's factors are ``(phi, n)`` followed by the target's, and
-    its base is the target's base, or the target itself when it has no
-    factors.  No map is composed or powered here; :func:`dehn_twist`
-    multiplies the factors when it twists about the image.
+    The image's factors are ``(phi, n)`` followed by the target's, and its
+    base is the target's base, or the target itself when it has no factors.
+    Its class comes from the base's (see :class:`Curve`), so nothing is
+    stepped here.  Its word is stepped on first read: |n| applications of
+    ``phi`` (of ``phi.inverse()`` when n < 0) to the target's word.  phi is
+    injective, so an orbit that repeats first comes back to the target
+    word; when step i does, |n| mod i more steps finish it, and a map
+    fixing the curve costs one step whatever n is.  No map is composed or
+    powered here; :func:`dehn_twist` multiplies the factors when it twists
+    about the image.
     """
     if target.surface != phi.surface:
         raise ValueError("curve does not live on the mapping class surface")
-    step = phi if n >= 0 else phi.inverse()
-    steps = abs(n)
-    start = word = target.word
-    for i in range(1, steps + 1):
-        word = step(word)
-        if word == start:
-            for _ in range(steps % i):
-                word = step(word)
-            break
-    return Curve(phi.surface, word, ((phi, n),) + target.factors, target.base or target)
+    return Curve(phi.surface, None, ((phi, n),) + target.factors, target.base or target)
 
 
 def dehn_twist(curve: Curve) -> MappingClass:

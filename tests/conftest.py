@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 import sympy as sp
 
 from palfkit.laurent import LaurentPoly
@@ -48,6 +49,37 @@ def random_twist_product(rng: random.Random, surface: PlanarSurface, max_factors
     for _ in range(rng.randrange(1, max_factors + 1)):
         phi = compose(phi, random_run_twist(rng, surface))
     return phi
+
+
+@pytest.fixture
+def map_steps(monkeypatch):
+    """The words ``MappingClass.__call__`` is applied to while the test runs."""
+    steps = []
+    call = MappingClass.__call__
+
+    def counted(self, word):
+        steps.append(word)
+        return call(self, word)
+
+    monkeypatch.setattr(MappingClass, "__call__", counted)
+    return steps
+
+
+def eager_image_word(phi: MappingClass, word: Word, n: int) -> Word:
+    """The word of phi^n(c) for a curve c of word ``word``, stepped at once:
+    |n| applications of phi (of its inverse when n < 0), cut at the orbit's
+    first return.  The oracle for the word an image curve steps on the
+    first read of ``Curve.word``."""
+    step = phi if n >= 0 else phi.inverse()
+    steps = abs(n)
+    start = word
+    for i in range(1, steps + 1):
+        word = step(word)
+        if word == start:
+            for _ in range(steps % i):
+                word = step(word)
+            break
+    return word
 
 
 def _std(run) -> str:

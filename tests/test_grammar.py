@@ -19,6 +19,8 @@ from palfkit.grammar import (
 )
 from palfkit.laurent import LaurentPoly
 from palfkit.lefschetz import family_twists, mazur_family
+from palfkit.presentation import TRIVIAL
+from palfkit.report import palf_summary
 from palfkit.surface import (
     MappingClass,
     PlanarSurface,
@@ -575,6 +577,46 @@ def test_a_parse_builds_each_distinct_curve_and_run_twist_once(monkeypatch):
         total_curves += len(curves)
         total_twists += len(twists)
     assert (total_curves, total_twists) == (2130, 1814)
+
+
+def test_palf_steps_image_words_only_for_the_pi1_search(map_steps):
+    # an image's class comes from its base, so over the seed-1 palf pool no
+    # map is applied to a word on the inputs with H1 != 0, whose pi1 is not
+    # searched; the inputs with H1 = 0 step their images and stay Trivial
+    counts = {True: [], False: []}
+    for text in palf_pool_texts(1):
+        del map_steps[:]
+        spec = parse_monodromy(text)
+        row = palf_summary(spec)
+        h1_zero = lefschetz.homology(spec).h1 == (0, ())
+        counts[h1_zero].append(len(map_steps))
+        if h1_zero:
+            assert row["pi1"] == TRIVIAL, text
+    assert (len(counts[False]), sum(counts[False])) == (609, 0)
+    assert (len(counts[True]), sum(counts[True])) == (31, 214)
+
+
+def test_errors_inside_apply_keep_their_bytes(tmp_path, capsys):
+    # apply steps nothing, but every check of a curve, a factor or the text
+    # around it is made where it stands, with the same bytes; the last input
+    # is refused at once after a huge power that is never stepped
+    cases = [
+        ("S(0,4); T apply((Tg Tb)^3, std{1,4})",
+         "error: hole index 4 out of range on S(0,4) (line 1, column 34)\n"),
+        ("S(0,4); T apply(T std{1,3/o}, std{2,3})",
+         "error: no direct twist about x1 x2 x3 x2^-1: its word is not a run xa ... xb (line 1, column 19)\n"),
+        ("S(0,4); T apply((Tg Tb)^2, std{2,3}",
+         "error: expected ')', found end of input (line 1, column 36)\n"),
+        ("S(0,4); T apply(Tg Tq, std{2,3})",
+         "error: expected ',', found 'Tq' (line 1, column 20)\n"),
+        ("S(0,4); T apply((Tg Tb)^1000000000000, std{2,3}); T std{1,3}",
+         "error: expected one 'o'/'u' flag per skipped hole [2], got '' (line 1, column 53)\n"),
+    ]
+    source = tmp_path / "input.palf"
+    for text, err in cases:
+        source.write_text(text, encoding="utf-8")
+        assert cli.main(["palf", "--input", str(source)]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 def test_errors_of_shared_curves_keep_their_position(tmp_path, capsys):

@@ -26,7 +26,7 @@ from palfkit.report import (
     report_to_json,
     report_to_text,
 )
-from palfkit.surface import Curve
+from palfkit.surface import Curve, MappingClass
 
 
 def corrupt_family(n: int) -> PALFSpec:
@@ -606,6 +606,27 @@ def test_cli_palf_data_files_pinned(name, capsys):
 def test_cli_twist_data_files_pinned(name, surface, expr, capsys):
     assert cli.main(["twist", "--surface", surface, "--expr", expr]) == 0
     assert capsys.readouterr().out == (DATA / f"{name}.out").read_text(encoding="utf-8")
+
+
+def _no_step(phi, word):
+    raise AssertionError("a curve word was stepped")
+
+
+def test_cli_palf_huge_power_on_an_h1_nonzero_input(tmp_path, capsys, monkeypatch):
+    # H1 = Z, so pi1 is not searched and the image's class comes from its
+    # base: (Tg Tb)^(10^12) takes no step and prints the bytes of (Tg Tb)^1
+    outputs = {}
+    for k in (1, 10**12):
+        source = tmp_path / f"power{k}.palf"
+        source.write_text(f"S(0,4); T std{{1}}; T apply((Tg Tb)^{k}, std{{2,3}})\n")
+        if k > 1:
+            monkeypatch.setattr(MappingClass, "__call__", _no_step)
+        outputs[k] = []
+        for fmt in ([], ["--json"]):
+            assert cli.main(["palf", "--input", str(source)] + fmt) == 0
+            outputs[k].append(capsys.readouterr())
+    assert outputs[10**12] == outputs[1]
+    assert "homology: Z,Z,0" in outputs[1][0].out
 
 
 def test_cli_palf(tmp_path, capsys):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from conftest import random_run_twist, random_twist_product, random_word
+from conftest import eager_image_word, random_run_twist, random_twist_product, random_word
 from palfkit.grammar import parse_monodromy
-from palfkit.lefschetz import mazur_family
+from palfkit.lefschetz import PALFSpec, mazur_family, pi1_presentation
 from palfkit.surface import (
     Curve,
     MappingClass,
@@ -387,6 +387,21 @@ def test_curve_takes_factors_and_base_together():
     assert dehn_twist(image) == twist_of_image(phi, gamma)
 
 
+def test_curve_needs_a_word_or_a_base():
+    with pytest.raises(ValueError, match="a word or a base"):
+        Curve(S4)
+
+
+def test_apply_checks_the_surface_at_the_call():
+    # the check is eager although the word is stepped on first read
+    phi = dehn_twist(standard_curve(S4, (1,)))
+    with pytest.raises(ValueError, match="does not live on the mapping class surface"):
+        apply(phi, standard_curve(PlanarSurface(5), (1,)))
+    image = apply(phi, standard_curve(S4, (2, 3)))
+    with pytest.raises(ValueError, match="does not live on the mapping class surface"):
+        apply(dehn_twist(standard_curve(PlanarSurface(5), (1,))), image, 10**12)
+
+
 def _twist_power_product(rng, surface):
     # one twist power, or two twists of one sign: run curves meet at most
     # twice, so such a product grows words linearly and the composed oracle
@@ -446,6 +461,57 @@ def test_apply_cuts_the_orbit_at_its_first_return(monkeypatch):
         image = apply(swap, c1, n)
         assert image.word == y2
         assert image.factors == ((swap, n),)
+
+
+def test_lazy_image_words_equal_the_eager_oracle(map_steps):
+    # differential: apply takes no step; each image's word, read later and
+    # in any order, equals the oracle's, stepped at once from its target's
+    # oracle word; its class, read from the base through the factors'
+    # action on H1, is that word's.  Specs mix signs, nest applies, reuse
+    # images as targets and as cycles, and use half twists, which act on H1
+    # as transpositions.
+    def lazy_apply(phi, target, n):
+        before = len(map_steps)
+        image = apply(phi, target, n)
+        assert len(map_steps) == before, "apply stepped a word"
+        return image
+
+    rng = random.Random(74)
+    specs = swapped = 0
+    for trial in range(500):
+        surface = PlanarSurface(4 + trial % 4)
+        runs = [tuple(range(a, b + 1)) for a in range(1, surface.holes) for b in range(a, surface.holes)]
+        curves = [(c, c.word) for c in (standard_curve(surface, rng.choice(runs)) for _ in range(2))]
+        for _ in range(rng.randint(1, 3)):
+            target, target_word = rng.choice(curves)
+            phi = (_random_half_twist_product if rng.random() < 0.3 else _twist_power_product)(rng, surface)
+            n = rng.choice((-3, -2, -1, 1, 2, 3))
+            image = lazy_apply(phi, target, n)
+            curves.append((image, eager_image_word(phi, target_word, n)))
+            swapped += image.homology_class != target.homology_class
+        rng.shuffle(curves)
+        spec = PALFSpec(surface, [curve for curve, _ in curves])
+        for curve, word in curves:
+            assert curve.homology_class == word.exponent_vector()
+            assert curve.word == word
+        assert pi1_presentation(spec).relators == tuple(word for _, word in curves)
+        specs += 1
+    # a huge power of a half-twist map: A is a permutation of order dividing
+    # 6, so the class is that of n % 6 eager steps, and no word is stepped
+    for trial in range(60):
+        surface = PlanarSurface(4 + trial % 4)
+        target = standard_curve(surface, (rng.randrange(1, surface.holes),))
+        if trial % 2:
+            target = lazy_apply(random_twist_product(rng, surface, 2), target, rng.choice((-1, 1)))
+        phi = MappingClass.identity(surface)
+        for _ in range(rng.randint(1, 2)):
+            phi = compose(phi, power(half_twist(surface, rng.randrange(1, surface.rank)), rng.choice((-1, 1))))
+        n = rng.choice((-1, 1)) * (10**12 + rng.randrange(6))
+        image = lazy_apply(phi, target, n)
+        assert image.homology_class == eager_image_word(phi, target.word, n % 6).exponent_vector()
+        swapped += image.homology_class != target.homology_class
+        specs += 1
+    assert specs >= 500 and swapped >= 50
 
 
 # -- image twists and the lantern -------------------------------------------
