@@ -7,7 +7,7 @@ options) is declined and goes to the full argparse parser, built anew for the
 call, so all help, usage and error text and its exit status come from argparse.
 
 Exit status: 0 on success, 1 when a family verification fails, 2 on
-usage or parse errors.
+usage or parse errors and when memory runs out (``error: out of memory``).
 """
 
 from __future__ import annotations
@@ -188,6 +188,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

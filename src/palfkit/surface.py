@@ -22,13 +22,11 @@ it as an image instead, ``dehn_twist(apply(phi, c))``, e.g. with ``phi``
 a :func:`half_twist`.  Mapping classes compose right to left:
 ``compose(f, g)`` applies ``g`` first.
 
-Classes before words.  ``phi`` acts on H1 of the page through the matrix
-A whose column i is the class of ``phi(xi)``, so an image of ``c`` under
-``phi^n`` has the class A^n (class of c), computed with no word.  A is
-the identity for every product of Dehn twists: a twist acts on H1 as
-x -> x +- <x, c> c (Picard-Lefschetz), and the intersection form of a
-planar surface is zero (Gompf-Stipsicz, *4-Manifolds and Kirby
-Calculus*, Ch. 8); a :func:`half_twist` permutes two classes.  An image's
+Classes before words.  A mapping class permutes the inner holes
+(``MappingClass.permutation``), so it acts on H1 of the page by permuting
+coordinates, and an image of ``c`` under ``phi^n`` has the class of ``c``
+with each coefficient moved n steps along its cycle, found with no word.
+A Dehn twist fixes every hole; a :func:`half_twist` swaps two.  An image's
 word is stepped only when something reads it, and then kept on the curve.
 """
 
@@ -82,12 +80,12 @@ class Curve:
     has ``factors == ()`` and ``base is None``; one without the other is
     refused, and so is a curve with neither a word nor a base.
 
-    An image's ``homology_class`` is A1^n1 ... Am^nm applied to the base's,
-    where column i of Ak is the class of ``phik(xi)``; no word is read for
-    it.  An image given no word (as :func:`apply` builds it) steps one on
-    the first read of ``word``: the base's word under each powered factor,
-    rightmost first, each power cut at its orbit's first return as in
-    :func:`apply`.  The word is then kept on the curve.
+    An image's ``homology_class`` is the base's with its coefficients moved
+    by the factors' hole permutations (see :func:`_class_under`); no word is
+    read for it.  An image given no word (as :func:`apply` builds it) steps
+    one on the first read of ``word``: the base's word under each powered
+    factor, rightmost first, each power cut at its orbit's first return as
+    in :func:`apply`.  The word is then kept on the curve.
 
     Isotopy is not decided; two Curve values describe the same free
     homotopy class when their words are conjugate (see
@@ -149,28 +147,17 @@ class Curve:
 
 
 def _class_under(phi: MappingClass, n: int, vector: tuple[int, ...]) -> tuple[int, ...]:
-    """A^n applied to a homology class, column i of A being the class of
-    ``phi(xi)`` (of ``phi^-1(xi)`` when n < 0), by squaring A once per bit
-    of |n|.  A map acting as the identity on H1 returns the class as is."""
-    columns = [w.exponent_vector() for w in (phi.images if n >= 0 else phi.inverse_images)]
-    if all(c[i] == 1 and sum(map(abs, c)) == 1 for i, c in enumerate(columns)):
-        return vector
-
-    def times(v):
-        out = [0] * len(v)
-        for column, x in zip(columns, v):
-            for j, entry in enumerate(column):
-                out[j] += x * entry
-        return tuple(out)
-
-    k = abs(n)
-    while k:
-        if k & 1:
-            vector = times(vector)
-        k >>= 1
-        if k:
-            columns = [times(column) for column in columns]
-    return vector
+    """The class of phi^n(c) from the class of c: phi sends ``xi`` to a
+    conjugate of ``x(p[i]+1)``, p being ``phi.permutation``, so each
+    coefficient moves n steps along its cycle of p (back when n < 0).  A
+    class 0 or +- the indicator vector of a hole set stays of that form."""
+    out = list(vector)
+    for i, coefficient in enumerate(vector):
+        cycle = [i]
+        while (j := phi.permutation[cycle[-1]]) != i:
+            cycle.append(j)
+        out[cycle[n % len(cycle)]] = coefficient
+    return tuple(out)
 
 
 def standard_curve(surface: PlanarSurface, holes: Sequence[int], sides: str = "") -> Curve:
@@ -210,22 +197,26 @@ def standard_curve(surface: PlanarSurface, holes: Sequence[int], sides: str = ""
 
 
 class MappingClass:
-    """An automorphism of the surface group with a stored inverse.
+    """An automorphism of the surface group with a stored inverse, and the
+    permutation it makes of the inner holes: ``permutation[i] = j`` when
+    ``x(i+1)`` goes to a conjugate of ``x(j+1)``.
 
     Construction checks, for ``phi`` the map of ``images`` and ``psi`` that
-    of ``inverse_images``, that phi psi = id on every generator and that the
-    outer boundary word ``delta`` maps to a conjugate of itself, as any
-    homeomorphism-induced map does in this model.  phi psi = id makes ``phi``
+    of ``inverse_images``, that phi psi = id on every generator, that the
+    outer boundary word ``delta`` maps to a conjugate of itself, and that
+    each image cyclically reduces to one positive generator, no two alike,
+    as for every homeomorphism of a holed sphere (Artin; Birman, *Braids,
+    Links, and Mapping Class Groups*, Thm 1.9).  phi psi = id makes ``phi``
     onto; free groups of finite rank are Hopfian (Nielsen, Malcev), so
     ``phi`` is an automorphism and psi phi = id follows without a second pass.
 
-    Three builders skip the check, each on an argument: :func:`compose`
-    and :meth:`inverse` inherit validity from their operands, and
-    :func:`dehn_twist` about a run word ``xa ... xb`` is valid by the proof
-    in its docstring.
+    Four builders skip the check, each on an argument: :func:`compose` and
+    :meth:`inverse` inherit validity and the permutation from their
+    operands, :meth:`identity` is valid by inspection, and :func:`dehn_twist`
+    about a run word ``xa ... xb`` by the proof in its docstring.
     """
 
-    __slots__ = ("surface", "images", "inverse_images")
+    __slots__ = ("surface", "images", "inverse_images", "permutation")
 
     def __init__(self, surface: PlanarSurface, images: Sequence[Word], inverse_images: Sequence[Word]):
         images = tuple(images)
@@ -241,23 +232,28 @@ class MappingClass:
                 raise ValueError("stored inverse images do not invert the map")
         if not are_conjugate(substitute(surface.delta, images), surface.delta):
             raise ValueError("map does not preserve the boundary word up to conjugacy")
+        cores = [w.cyclic_reduction().letters for w in images]
+        if sorted(cores) != [(k,) for k in range(1, rank + 1)]:
+            raise ValueError("map does not send the generators to conjugates of distinct generators")
         self.surface = surface
         self.images = images
         self.inverse_images = inverse_images
+        self.permutation = tuple(core[0] - 1 for core in cores)
 
     @classmethod
     def identity(cls, surface: PlanarSurface) -> MappingClass:
-        gens = surface.group.generators()
-        return cls(surface, gens, gens)
+        gens = tuple(surface.group.generators())
+        return cls._trusted(surface, gens, gens, tuple(range(surface.rank)))
 
     @classmethod
-    def _trusted(cls, surface: PlanarSurface, images: tuple[Word, ...], inverse_images: tuple[Word, ...]) -> MappingClass:
-        # skip validation: used only where validity is inherited (composing
-        # or inverting valid maps) or proved (the run twists of dehn_twist)
+    def _trusted(cls, surface: PlanarSurface, images: tuple[Word, ...], inverse_images: tuple[Word, ...],
+                 permutation: tuple[int, ...]) -> MappingClass:
+        # skip validation: validity is inherited (compose, inverse) or proved (identity, run twists)
         self = object.__new__(cls)
         self.surface = surface
         self.images = images
         self.inverse_images = inverse_images
+        self.permutation = permutation
         return self
 
     def __eq__(self, other: object) -> bool:
@@ -280,7 +276,8 @@ class MappingClass:
         return substitute(word, self.images)
 
     def inverse(self) -> MappingClass:
-        return MappingClass._trusted(self.surface, self.inverse_images, self.images)
+        p = self.permutation
+        return MappingClass._trusted(self.surface, self.inverse_images, self.images, tuple(map(p.index, range(len(p)))))
 
 
 def compose(phi: MappingClass, psi: MappingClass) -> MappingClass:
@@ -289,7 +286,7 @@ def compose(phi: MappingClass, psi: MappingClass) -> MappingClass:
         raise ValueError("mapping classes on different surfaces")
     images = tuple(substitute(w, phi.images) for w in psi.images)
     inverse_images = tuple(substitute(w, psi.inverse_images) for w in phi.inverse_images)
-    return MappingClass._trusted(phi.surface, images, inverse_images)
+    return MappingClass._trusted(phi.surface, images, inverse_images, tuple(phi.permutation[j] for j in psi.permutation))
 
 
 def power(phi: MappingClass, n: int) -> MappingClass:
@@ -371,7 +368,7 @@ def dehn_twist(curve: Curve) -> MappingClass:
     gens = list(enumerate(curve.surface.group.generators(), 1))
     images = tuple(c * gen * c_inv if a <= i <= b else gen for i, gen in gens)
     inverse_images = tuple(c_inv * gen * c if a <= i <= b else gen for i, gen in gens)
-    return MappingClass._trusted(curve.surface, images, inverse_images)
+    return MappingClass._trusted(curve.surface, images, inverse_images, tuple(range(len(gens))))
 
 
 def twist_of_image(phi: MappingClass, curve: Curve) -> MappingClass:

@@ -30,6 +30,7 @@ from palfkit.surface import (
     power,
     standard_curve,
 )
+from palfkit.words import Word
 
 
 # -- presentations -------------------------------------------------------------
@@ -568,7 +569,12 @@ def test_a_parse_builds_each_distinct_curve_and_run_twist_once(monkeypatch):
     image = apply(dehn_twist(standard_curve(s, (1, 2))), standard_curve(s, (2, 3))).word.letters
     assert curves == [((1, 2), ""), ((2, 3), "")]
     assert twists == [(1, 2), image, image]  # an image's twist is built each time
-    # over the seed-1 palf pool no key is built twice within one parse
+    # over the seed-1 palf pool no key is built twice within one parse, and
+    # the only abelianized words are the standard curves' own: an image's
+    # class is its base's, moved by its factors' hole permutations
+    vectors = []
+    exponent_vector = Word.exponent_vector
+    monkeypatch.setattr(Word, "exponent_vector", lambda self: vectors.append(self) or exponent_vector(self))
     total_curves = total_twists = 0
     for text in palf_pool_texts(1):
         del curves[:], twists[:]
@@ -576,7 +582,7 @@ def test_a_parse_builds_each_distinct_curve_and_run_twist_once(monkeypatch):
         assert len(set(curves)) == len(curves) and len(set(twists)) == len(twists), text
         total_curves += len(curves)
         total_twists += len(twists)
-    assert (total_curves, total_twists) == (2130, 1814)
+    assert (total_curves, total_twists, len(vectors)) == (2130, 1814, 2130)
 
 
 def test_palf_steps_image_words_only_for_the_pi1_search(map_steps):

@@ -729,3 +729,20 @@ def test_cli_huge_surface_exit_two(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert f"more than {MAX_HOLES} holes" in err
         assert "Traceback" not in err
+
+
+def test_cli_out_of_memory_exit_two(tmp_path, monkeypatch, capsys):
+    # a command that runs out of memory exits 2 with one line on stderr, the
+    # status of the size caps; nested image twists can still get there
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_mapping_class", exhausted)
+    monkeypatch.setattr(cli, "parse_monodromy", exhausted)
+    source = tmp_path / "one.palf"
+    source.write_text("S(0,4); T std{1}\n")
+    for argv in (["twist", "--surface", "S(0,4)", "--expr", "T std{1}"], ["palf", "--input", str(source)]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: out of memory\n")
+        assert "Traceback" not in err

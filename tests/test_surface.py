@@ -493,6 +493,7 @@ def test_lazy_image_words_equal_the_eager_oracle(map_steps):
         spec = PALFSpec(surface, [curve for curve, _ in curves])
         for curve, word in curves:
             assert curve.homology_class == word.exponent_vector()
+            assert _hole_class(curve.homology_class)
             assert curve.word == word
         assert pi1_presentation(spec).relators == tuple(word for _, word in curves)
         specs += 1
@@ -519,6 +520,77 @@ def test_lazy_image_words_equal_the_eager_oracle(map_steps):
 def test_twist_of_image_identity():
     gamma = standard_curve(S4, (2, 3))
     assert twist_of_image(MappingClass.identity(S4), gamma) == dehn_twist(gamma)
+
+
+def _hole_class(vector):
+    # 0, or +- the indicator vector of a set of inner holes: the classes of
+    # simple closed curves on a planar page
+    return set(vector) <= {0, 1} or set(vector) <= {0, -1}
+
+
+def _order(permutation):
+    identity = tuple(range(len(permutation)))
+    power, k = permutation, 1
+    while power != identity:
+        power, k = tuple(permutation[j] for j in power), k + 1
+    return k
+
+
+def test_image_classes_move_along_hole_cycles(map_steps):
+    # differential at n near +-10^18, on maps whose hole permutations have
+    # cycles of length >= 3 (s1 s2 s3 on S(0,5) is a 4-cycle): an image's
+    # class is that of n mod the permutation's order eager steps, and no word
+    # is stepped for it.  Each map's permutation is the one its images show,
+    # and every class is 0 or +- an indicator vector of holes.
+    rng = random.Random(75)
+    s5 = PlanarSurface(5)
+    sigma = compose(compose(half_twist(s5, 1), half_twist(s5, 2)), half_twist(s5, 3))
+    assert sigma.permutation == (1, 2, 3, 0)
+    assert sigma.inverse().permutation == (3, 0, 1, 2)
+    long_cycles = moved = 0
+    for trial in range(240):
+        surface = s5 if trial < 24 else PlanarSurface(5 + trial % 3)
+        if trial < 24:
+            phi = sigma if trial % 2 else compose(random_twist_product(rng, s5, 2), sigma)
+        else:
+            phi = MappingClass.identity(surface)
+            for _ in range(rng.randint(2, 5)):
+                phi = compose(phi, power(half_twist(surface, rng.randrange(1, surface.rank)), rng.choice((-1, 1))))
+            if trial % 2:
+                phi = compose(random_twist_product(rng, surface, 2), phi)
+        for f in (phi, phi.inverse()):
+            assert [w.cyclic_reduction().letters for w in f.images] == [(j + 1,) for j in f.permutation]
+        order = _order(phi.permutation)
+        lo = rng.randrange(1, surface.holes)
+        target = standard_curve(surface, tuple(range(lo, rng.randrange(lo, surface.holes) + 1)))
+        if trial % 3 == 0:
+            target = apply(_random_half_twist_product(rng, surface), target, rng.choice((-2, -1, 1, 2)))
+        target_word = target.word
+        n = rng.choice((-1, 1)) * 10**18 + rng.randrange(-order, order + 1)
+        del map_steps[:]
+        image = apply(phi, target, n)
+        assert _hole_class(image.homology_class) and not map_steps
+        assert image.homology_class == eager_image_word(phi, target_word, n % order).exponent_vector()
+        long_cycles += order >= 3
+        moved += image.homology_class != target.homology_class
+    assert long_cycles >= 100 and moved >= 60, (long_cycles, moved)
+
+
+def test_a_map_sending_a_generator_to_no_conjugate_of_a_generator_is_refused():
+    # x1 -> x1^2 x2, x2 -> x2^-1 x1^-1 x2 is an automorphism that fixes delta,
+    # but no homeomorphism of the page induces it: x1 goes to no conjugate of
+    # a generator.  Once accepted, it gave apply(phi, std{1}, 10**6) the
+    # class (1000001, 1000000), which no simple closed curve on a planar
+    # page has.  On S(0,4) the same map fixes x3.
+    for holes in (3, 4):
+        surface = PlanarSurface(holes)
+        x1, x2, *rest = surface.group.generators()
+        images = [x1 * x1 * x2, x2.inverse() * x1.inverse() * x2] + rest
+        inverse_images = [x1 * x2.inverse() * x1.inverse(), x1 * x2 * x2] + rest
+        assert all(substitute(w, images) == g for w, g in zip(inverse_images, surface.group.generators()))
+        assert substitute(surface.delta, images) == surface.delta
+        with pytest.raises(ValueError, match="^map does not send the generators to conjugates of distinct generators$"):
+            MappingClass(surface, images, inverse_images)
 
 
 def _random_half_twist_product(rng, surface):
