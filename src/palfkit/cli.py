@@ -30,9 +30,9 @@ EXIT_USAGE = 2
 # Largest accepted ``family --n-max``: it bounds a run's work, and 500 is the
 # largest report size the project sets performance targets for.  Row n's Fox
 # rows cost O(n) interpreted steps plus C-level prefix slices, and f(t) f(1/t)
-# is one packed integer product: ``build_family_report`` took 0.12-0.14 /
-# 0.53-0.55 / 2.5-2.8 s at N = 60 / 120 / 240 (medians of 5 / 5 / 3, two runs,
-# CPython 3.11.7, one core of a shared two-core Intel Xeon VM).
+# is one packed integer product: ``build_family_report`` took 0.09 / 0.28-0.35
+# / 1.46-1.59 s at N = 60 / 120 / 240 (in process, medians of 5 / 5 / 3 calls,
+# two runs, CPython 3.11.7, one core of a shared two-core Intel Xeon VM).
 MAX_FAMILY_N = 500
 
 # Largest accepted sum over relators r of |r| (|r| + 1) / 2 for ``alexander``,

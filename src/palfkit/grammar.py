@@ -37,7 +37,10 @@ deep, a presentation word expands to at most :data:`MAX_WORD_LETTERS`
 letters, and a surface has at most :data:`MAX_HOLES` holes.  All parse
 failures, these three limits and an integer literal too long for ``int``
 included, raise :class:`ParseError` carrying 1-based line and column
-numbers, with lines as :meth:`str.splitlines` splits them.
+numbers, with lines as :meth:`str.splitlines` splits them.  The whole text
+is tokenized before any of it is parsed, so an unexpected character is
+reported ahead of any grammar error; a token holds its offset in the text,
+and its line and column are computed only when an error is raised.
 """
 
 from __future__ import annotations
@@ -91,35 +94,31 @@ MAX_HOLES = 1000
 _TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<punct>[()|,;{}/^*+\-])|\S")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind  # 'name', 'int', punctuation text, or 'end'
-        self.text = text
-        self.line = line
-        self.column = column
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` tokens from one scan of the whole text, kind
+    'name', 'int' or the punctuation, closed by ``("end", "", len(text))``."""
     tokens = []
-    # Lines are what ``str.splitlines`` splits on (``\n``, ``\r\n``, ``\r``,
-    # ``\x0c``, ``\u2028``, ...).  The appended space is skipped as
-    # whitespace and marks where the end-of-input token sits: just past the
-    # last character, on a line of its own after a trailing line break.
-    lines = (text + " ").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        for m in _TOKEN.finditer(line):
-            kind, chunk, col = m.lastgroup, m.group(), m.start() + 1
-            if kind is None:
-                raise ParseError(f"unexpected character {chunk!r}", lineno, col)
-            tokens.append(_Token(chunk if kind == "punct" else kind, chunk, lineno, col))
-    tokens.append(_Token("end", "", len(lines), len(lines[-1])))
+    for m in _TOKEN.finditer(text):
+        kind, chunk = m.lastgroup, m.group()
+        if kind is None:
+            raise ParseError(f"unexpected character {chunk!r}", *_position(text, m.start()))
+        tokens.append((chunk if kind == "punct" else kind, chunk, m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    r"""The 1-based (line, column) of ``offset``, lines split as by
+    ``str.splitlines`` (``\n``, ``\r\n``, ``\r``, ``\x0c``, ``\u2028``, ...).  The
+    appended space puts the end of input just past the last character, on a
+    line of its own after a trailing line break."""
+    lines = (text[:offset] + " ").splitlines()
+    return len(lines), len(lines[-1])
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -128,18 +127,22 @@ class _Parser:
         self.twists: dict[tuple[int, ...], MappingClass] = {}
 
     @property
-    def current(self) -> _Token:
+    def current(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    @property
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.pos += 1
         return tok
 
-    def error(self, message: str) -> ParseError:
-        tok = self.current
-        return ParseError(message, tok.line, tok.column)
+    def error(self, message: str, at: tuple[str, str, int] | None = None) -> ParseError:
+        """A :class:`ParseError` at token ``at``, or at the current one."""
+        return ParseError(message, *_position(self.text, (at or self.current)[2]))
 
     @contextmanager
     def nested(self):
@@ -150,33 +153,30 @@ class _Parser:
         yield
         self.depth -= 1
 
-    def expect(self, kind: str) -> _Token:
-        if self.current.kind != kind:
-            what = "end of input" if self.current.kind == "end" else repr(self.current.text)
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        found, text, _ = self.current
+        if found != kind:
+            what = "end of input" if found == "end" else repr(text)
             raise self.error(f"expected {kind!r}, found {what}")
         return self.advance()
 
-    def at_end(self) -> bool:
-        return self.current.kind == "end"
-
     def finish(self, value):
         """``value`` when every token is read, else an error at the first one left."""
-        if not self.at_end():
-            raise self.error(f"unexpected {self.current.text!r}")
+        if self.kind != "end":
+            raise self.error(f"unexpected {self.current[1]!r}")
         return value
 
     def expect_int(self) -> int:
         """The value of an 'int' token; the one place a literal becomes an int."""
         tok = self.expect("int")
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            message = f"integer literal of {len(tok.text)} digits is too long"
-            raise ParseError(message, tok.line, tok.column) from None
+            raise self.error(f"integer literal of {len(tok[1])} digits is too long", tok) from None
 
     def parse_int(self) -> int:
         negative = False
-        if self.current.kind == "-":
+        if self.kind == "-":
             self.advance()
             negative = True
         value = self.expect_int()
@@ -215,8 +215,8 @@ def parse_presentation(text: str) -> Presentation:
     """
     parser = _Parser(text)
     names = []
-    while parser.current.kind == "name":
-        names.append(parser.advance().text)
+    while parser.kind == "name":
+        names.append(parser.advance()[1])
     if len(set(names)) != len(names):
         raise parser.error("duplicate generator name")
     parser.expect("|")
@@ -224,9 +224,9 @@ def parse_presentation(text: str) -> Presentation:
     index = {n: i + 1 for i, n in enumerate(names)}
 
     relators = []
-    if not parser.at_end():
+    if parser.kind != "end":
         relators.append(_parse_word(parser, group, index))
-        while parser.current.kind == ",":
+        while parser.kind == ",":
             parser.advance()
             relators.append(_parse_word(parser, group, index))
     return parser.finish(Presentation(group, relators))
@@ -236,23 +236,23 @@ def _parse_word(parser: _Parser, group: FreeGroup, index: dict[str, int]) -> Wor
     start = parser.pos
     letters = _parse_word_letters(parser, group, index)
     if parser.pos == start:
-        raise parser.error(f"expected a relator word, found {parser.current.text or 'end of input'!r}")
+        raise parser.error(f"expected a relator word, found {parser.current[1] or 'end of input'!r}")
     return Word(group, letters)
 
 
 def _parse_word_letters(parser: _Parser, group: FreeGroup, index: dict[str, int]) -> list[int]:
     letters: list[int] = []
     while True:
-        tok = parser.current
-        if tok.kind == "name":
-            if tok.text not in index:
-                raise parser.error(f"unknown generator {tok.text!r}")
+        kind, text, _ = parser.current
+        if kind == "name":
+            if text not in index:
+                raise parser.error(f"unknown generator {text!r}")
             parser.advance()
-            base = [index[tok.text]]
-        elif tok.kind == "int" and tok.text == "1":
+            base = [index[text]]
+        elif kind == "int" and text == "1":
             parser.advance()
             base = []
-        elif tok.kind == "(":
+        elif kind == "(":
             with parser.nested():
                 parser.advance()
                 base = _parse_word_letters(parser, group, index)
@@ -261,7 +261,7 @@ def _parse_word_letters(parser: _Parser, group: FreeGroup, index: dict[str, int]
             return letters
         exponent = 1
         at = parser.current
-        if at.kind == "^":
+        if parser.kind == "^":
             parser.advance()
             exponent = parser.parse_int()
             if exponent < 0:
@@ -269,7 +269,7 @@ def _parse_word_letters(parser: _Parser, group: FreeGroup, index: dict[str, int]
                 exponent = -exponent
         # checked before ``base * exponent`` is allocated
         if len(letters) + len(base) * exponent > MAX_WORD_LETTERS:
-            raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters once expanded", at.line, at.column)
+            raise parser.error(f"word longer than {MAX_WORD_LETTERS} letters once expanded", at)
         letters.extend(base * exponent)
 
 
@@ -284,12 +284,12 @@ def parse_laurent(text: str) -> LaurentPoly:
     parser = _Parser(text)
     coeffs: dict[int, int] = {}
     first = True
-    while not parser.at_end():
+    while parser.kind != "end":
         sign = 1
-        if parser.current.kind in ("+", "-"):
-            sign = -1 if parser.advance().kind == "-" else 1
+        if parser.kind in ("+", "-"):
+            sign = -1 if parser.advance()[0] == "-" else 1
         elif not first:
-            raise parser.error(f"expected '+' or '-', found {parser.current.text!r}")
+            raise parser.error(f"expected '+' or '-', found {parser.current[1]!r}")
         coeff, exponent = _parse_laurent_term(parser)
         coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
         first = False
@@ -299,28 +299,26 @@ def parse_laurent(text: str) -> LaurentPoly:
 
 
 def _parse_laurent_term(parser: _Parser) -> tuple[int, int]:
-    tok = parser.current
     coeff = 1
-    saw_coeff = False
-    if tok.kind == "int":
+    if parser.kind == "int":
         coeff = parser.expect_int()
-        saw_coeff = True
-        if parser.current.kind == "*":
+        if parser.kind == "*":
             parser.advance()
-            if not (parser.current.kind == "name" and parser.current.text == "t"):
+            if parser.current[:2] != ("name", "t"):
                 raise parser.error("expected 't' after '*'")
-    if parser.current.kind == "name":
-        if parser.current.text != "t":
-            raise parser.error(f"unknown variable {parser.current.text!r}")
+        elif parser.kind != "name":
+            return coeff, 0
+    kind, text, _ = parser.current
+    if kind != "name":
+        raise parser.error(f"expected a term, found {text!r}")
+    if text != "t":
+        raise parser.error(f"unknown variable {text!r}")
+    parser.advance()
+    exponent = 1
+    if parser.kind == "^":
         parser.advance()
-        exponent = 1
-        if parser.current.kind == "^":
-            parser.advance()
-            exponent = parser.parse_int()
-        return coeff, exponent
-    if not saw_coeff:
-        raise parser.error(f"expected a term, found {tok.text!r}")
-    return coeff, 0
+        exponent = parser.parse_int()
+    return coeff, exponent
 
 
 # -- monodromies and mapping-class expressions --------------------------------
@@ -333,9 +331,9 @@ def parse_monodromy(text: str) -> PALFSpec:
     parser = _Parser(text)
     surface = _parse_surface(parser)
     cycles = []
-    while parser.current.kind == ";":
+    while parser.kind == ";":
         parser.advance()
-        if parser.at_end():
+        if parser.kind == "end":
             break
         cycles.append(_parse_entry_curve(parser, surface))
     return parser.finish(PALFSpec(surface, cycles))
@@ -354,8 +352,8 @@ def parse_mapping_class(text: str, surface: PlanarSurface) -> MappingClass:
 
 def _parse_surface(parser: _Parser) -> PlanarSurface:
     tok = parser.expect("name")
-    if tok.text != "S":
-        raise ParseError(f"expected surface 'S(0,r)', found {tok.text!r}", tok.line, tok.column)
+    if tok[1] != "S":
+        raise parser.error(f"expected surface 'S(0,r)', found {tok[1]!r}", tok)
     parser.expect("(")
     genus = parser.parse_int()
     if genus != 0:
@@ -371,40 +369,40 @@ def _parse_surface(parser: _Parser) -> PlanarSurface:
 
 
 def _parse_entry_curve(parser: _Parser, surface: PlanarSurface) -> Curve:
-    tok = parser.current
-    if tok.kind == "name" and tok.text == "T":
+    kind, text, _ = parser.current
+    if kind == "name" and text == "T":
         parser.advance()
         return _parse_curve(parser, surface)
-    if tok.kind == "name" and tok.text in _ALIASES:
+    if kind == "name" and text in _ALIASES:
         # alias twists are twists about fixture curves; the cycle is the curve
         raise parser.error("monodromy entries must be 'T <curve>'; aliases appear inside apply(...)")
-    raise parser.error(f"expected a twist entry, found {tok.text!r}")
+    raise parser.error(f"expected a twist entry, found {text!r}")
 
 
 def _parse_curve(parser: _Parser, surface: PlanarSurface) -> Curve:
     tok = parser.expect("name")
-    if tok.text == "std":
+    if tok[1] == "std":
         parser.expect("{")
         holes = [_parse_hole(parser, surface)]
-        while parser.current.kind == ",":
+        while parser.kind == ",":
             parser.advance()
             holes.append(_parse_hole(parser, surface))
         # flags are checked where they stand, a curve without them at 'std'
         at, sides = tok, ""
-        if parser.current.kind == "/":
+        if parser.kind == "/":
             parser.advance()
             at = parser.expect("name")
-            sides = at.text
+            sides = at[1]
         else:
             parser.expect("}")
         try:
             curve = parser.standard_curve(surface, tuple(holes), sides)
         except ValueError as exc:
-            raise ParseError(str(exc), at.line, at.column) from exc
+            raise parser.error(str(exc), at) from exc
         if sides:
             parser.expect("}")
         return curve
-    if tok.text == "apply":
+    if tok[1] == "apply":
         with parser.nested():
             parser.expect("(")
             factors = _parse_factors(parser, surface)
@@ -416,14 +414,14 @@ def _parse_curve(parser: _Parser, surface: PlanarSurface) -> Curve:
         for phi, exponent in reversed(factors):
             curve = apply(phi, curve, exponent)
         return curve
-    raise ParseError(f"unknown curve form {tok.text!r}", tok.line, tok.column)
+    raise parser.error(f"unknown curve form {tok[1]!r}", tok)
 
 
 def _parse_hole(parser: _Parser, surface: PlanarSurface) -> int:
     tok = parser.current
     hole = parser.expect_int()
     if not 1 <= hole < surface.holes:
-        raise ParseError(f"hole index {hole} out of range on {surface}", tok.line, tok.column)
+        raise parser.error(f"hole index {hole} out of range on {surface}", tok)
     return hole
 
 
@@ -435,29 +433,29 @@ def _parse_factors(parser: _Parser, surface: PlanarSurface) -> list[tuple[Mappin
     """The factors of a ``mapclass``, left to right, each with its exponent."""
     factors = []
     while True:
-        tok = parser.current
-        if tok.kind == "(":
+        kind, text, _ = parser.current
+        if kind == "(":
             with parser.nested():
                 parser.advance()
                 base = _parse_mapclass(parser, surface)
                 parser.expect(")")
-        elif tok.kind == "name" and tok.text in _ALIASES:
+        elif kind == "name" and text in _ALIASES:
             if surface.holes != 4:
-                raise parser.error(f"alias {tok.text!r} is defined on S(0,4) only")
+                raise parser.error(f"alias {text!r} is defined on S(0,4) only")
             parser.advance()
-            base = parser.twist(parser.standard_curve(surface, _ALIASES[tok.text]))
-        elif tok.kind == "name" and tok.text == "T":
+            base = parser.twist(parser.standard_curve(surface, _ALIASES[text]))
+        elif kind == "name" and text == "T":
             parser.advance()
             at = parser.current
             curve = _parse_curve(parser, surface)
             try:
                 base = parser.twist(curve)
             except UnsupportedCurveError as exc:
-                raise ParseError(str(exc), at.line, at.column) from exc
+                raise parser.error(str(exc), at) from exc
         else:
             break
         exponent = 1
-        if parser.current.kind == "^":
+        if parser.kind == "^":
             parser.advance()
             exponent = parser.parse_int()
         factors.append((base, exponent))

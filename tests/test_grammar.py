@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 import sys
 from functools import reduce
 
@@ -162,26 +164,31 @@ def _tokenize_by_hand(text):
                 kind = chunk
             else:
                 raise ParseError(f"unexpected character {chunk!r}", lineno, col)
-            tokens.append(grammar._Token(kind, chunk, lineno, col))
+            tokens.append((kind, chunk, lineno, col))
             pos = m.end()
-    tokens.append(grammar._Token("end", "", len(lines), len(lines[-1])))
+    tokens.append(("end", "", len(lines), len(lines[-1])))
     return tokens
+
+
+def _tokenize_with_positions(text):
+    return [(kind, chunk, *grammar._position(text, offset)) for kind, chunk, offset in grammar._tokenize(text)]
 
 
 def _token_outcome(tokenize, text):
     try:
-        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+        return tokenize(text)
     except ParseError as exc:
         return str(exc)
 
 
+# every str.splitlines boundary
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 # pieces of tokenizer input: grammar punctuation, name and keyword pieces,
-# digits, every str.splitlines boundary and other Unicode whitespace, then the
-# characters no token accepts (non-ASCII letters and digits among them)
+# digits, every line break and other Unicode whitespace, then the characters
+# no token accepts (non-ASCII letters and digits among them)
 _VALID_PIECES = (
     list("()|,;{}/^*+-") + ["x", "Tg", "std", "apply", "S", "_", "a1", "t"] + list("0123456789") + ["42"]
-    + ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-    + [" ", "\t", "\x1f", "\xa0", "\u3000"]
+    + _BREAKS + [" ", "\t", "\x1f", "\xa0", "\u3000"]
 )
 _INVALID_PIECES = ["\xe9", "\xdf", "\u03bb", "\xb2", "\u0663", "\uff11", "@", "."]
 
@@ -192,7 +199,89 @@ def test_tokenize_matches_the_character_scan():
         # half the strings draw only valid pieces, so they tokenize in full
         pieces = _VALID_PIECES + _INVALID_PIECES if i % 2 else _VALID_PIECES
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 16)))
-        assert _token_outcome(grammar._tokenize, text) == _token_outcome(_tokenize_by_hand, text), repr(text)
+        assert _token_outcome(_tokenize_with_positions, text) == _token_outcome(_tokenize_by_hand, text), repr(text)
+
+
+# valid texts of each entry point, mutated token by token into malformed ones
+_CORPUS_PIECE = re.compile(r"[A-Za-z_]\w*|[0-9]+|\S")
+_CORPUS_BASES = {
+    "presentation": ["x y | (x y)^2 x (x y)^-2 y^-1", "a b c | a b a^-1 b^-1, (c)^3, 1, a^0", "x y | x^99999 y"],
+    "monodromy": ["S(0,4); T std{1,3/o}; T apply((Tg Tb)^2, std{2,3}); T std{1}",
+                  "S(0,5); T apply(T std{2,3} T std{1}, std{1,2,3/uo}); T std{4};",
+                  "S(0,4); T std{1,2,3}; T apply(Ta^-2, std{3})"],
+    "laurent": ["t^-2 - 2*t^-1 + 3 - 2t + t^2", "-7 + 4*t^3 - t"],
+    "mapping_class": ["(Tg Tb)^2 Ta^-1", "T std{1,2} T apply(Tg, std{1,3/u})^3 (T std{3})"],
+}
+_CORPUS_PARSERS = {
+    "presentation": parse_presentation,
+    "monodromy": parse_monodromy,
+    "laurent": parse_laurent,
+    "mapping_class": lambda text: parse_mapping_class(text, PlanarSurface(4)),
+}
+# per entry point, the sha256 over its inputs of (text, message, line, column),
+# or of "ok" for an input that parses, and the number of parse errors: the
+# bytes and positions of errors that any change to the grammar must keep
+_CORPUS_PINS = {
+    "presentation": ("79c90d63e5645c315827a2561e869924ac6a0782ec0419b9baa21e40c3d55aa4", 448),
+    "monodromy": ("21af2b0e220bcf436fa6b06ada0b613b302fcd5448ac29181d711a9365fe3092", 492),
+    "laurent": ("00ae2861fbb640be9df510b36c1c0d3ed6ad0174a4588b39791b37538557a42c", 406),
+    "mapping_class": ("d08fb0227183019aef2a53859661640ae21f72355f73f104a6a2f023fa6a5e40", 479),
+}
+
+
+def _malformed_texts(rng, base_texts, count):
+    pieces = [p for text in base_texts for p in _CORPUS_PIECE.findall(text)] + ["\xe9", "@", "9" * 5000] + _BREAKS
+    for _ in range(count):
+        tokens = _CORPUS_PIECE.findall(rng.choice(base_texts))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(tokens))
+            edit = rng.randrange(3)
+            if edit == 0:
+                tokens.insert(i, rng.choice(pieces))
+            elif edit == 1 and len(tokens) > 1:
+                del tokens[i]
+            else:
+                tokens[i] = rng.choice(pieces)
+        yield "".join(t + rng.choice(["", " ", " ", " ", rng.choice(_BREAKS), rng.choice(_BREAKS)]) for t in tokens)
+
+
+def test_malformed_corpus_keeps_its_error_bytes():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the 5000-digit literal is too long for int
+    try:
+        for name, parse in _CORPUS_PARSERS.items():
+            digest, errors = hashlib.sha256(), 0
+            for text in _malformed_texts(random.Random(name), _CORPUS_BASES[name], 500):
+                try:
+                    parse(text)
+                    outcome = "ok"
+                except ParseError as exc:
+                    outcome = (text, str(exc), exc.line, exc.column)
+                    errors += 1
+                digest.update(repr(outcome).encode())
+            assert (digest.hexdigest(), errors) == _CORPUS_PINS[name], name
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_positions_are_computed_only_for_errors(monkeypatch):
+    # a token holds its offset; its line and column are worked out only for
+    # an error, so inputs that parse never reach grammar._position
+    class Positioned(Exception):
+        pass
+
+    def refuse(text, offset):
+        raise Positioned(offset)
+
+    monkeypatch.setattr(grammar, "_position", refuse)
+    for text in palf_pool_texts(1):
+        parse_monodromy(text)
+    rng = random.Random(91)
+    for _ in range(300):
+        p = random_presentation(rng)
+        assert parse_presentation(str(p)) == p
+    with pytest.raises(Positioned):
+        parse_presentation("x y |\r\n x ^")
 
 
 def test_presentation_round_trip():
