@@ -214,14 +214,14 @@ def parse_presentation(text: str) -> Presentation:
     (2, 1)
     """
     parser = _Parser(text)
-    names = []
+    index: dict[str, int] = {}
     while parser.kind == "name":
-        names.append(parser.advance()[1])
-    if len(set(names)) != len(names):
-        raise parser.error("duplicate generator name")
+        tok = parser.advance()
+        if tok[1] in index:
+            raise parser.error("duplicate generator name", tok)
+        index[tok[1]] = len(index) + 1
     parser.expect("|")
-    group = FreeGroup(len(names), tuple(names))
-    index = {n: i + 1 for i, n in enumerate(names)}
+    group = FreeGroup(len(index), tuple(index))
 
     relators = []
     if parser.kind != "end":
@@ -310,7 +310,7 @@ def _parse_laurent_term(parser: _Parser) -> tuple[int, int]:
             return coeff, 0
     kind, text, _ = parser.current
     if kind != "name":
-        raise parser.error(f"expected a term, found {text!r}")
+        raise parser.error(f"expected a term, found {'end of input' if kind == 'end' else repr(text)}")
     if text != "t":
         raise parser.error(f"unknown variable {text!r}")
     parser.advance()

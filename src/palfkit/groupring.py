@@ -55,18 +55,12 @@ class GroupRingElement:
 
     # -- basic protocol ------------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GroupRingElement)
             and self.group == other.group
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        return hash((self.group, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:

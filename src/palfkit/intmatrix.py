@@ -51,12 +51,6 @@ class IntMatrix:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows and self.ncols == other.ncols
 
-    def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.rows]!r})"
-
     def __getitem__(self, index: tuple[int, int]) -> int:
         i, j = index
         return self.rows[i][j]

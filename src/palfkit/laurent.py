@@ -91,15 +91,6 @@ class LaurentPoly:
             other = LaurentPoly({0: other})
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        # equal to an int c when constant, so it must hash like c
-        coeffs = self.coeffs
-        if not coeffs:
-            return hash(0)
-        if len(coeffs) == 1 and 0 in coeffs:
-            return hash(coeffs[0])
-        return hash(frozenset(coeffs.items()))
-
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
 

@@ -63,15 +63,6 @@ class PALFSpec:
         self.fiber = fiber
         self.cycles = cycles
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PALFSpec) and self.fiber == other.fiber and self.cycles == other.cycles
-
-    def __hash__(self) -> int:
-        return hash((self.fiber, self.cycles))
-
-    def __repr__(self) -> str:
-        return f"PALFSpec({self.fiber}, {len(self.cycles)} cycles)"
-
 
 @dataclass(frozen=True)
 class HomologyResult:

@@ -50,24 +50,16 @@ class Presentation:
             and self.relators == other.relators
         )
 
-    def __hash__(self) -> int:
-        return hash((self.group, self.relators))
-
-    def __repr__(self) -> str:
-        return f"Presentation({str(self)!r})"
-
     def __str__(self) -> str:
         gens = " ".join(self.group.names)
         rels = ", ".join(str(r) for r in self.relators)
         return f"{gens} | {rels}" if rels else f"{gens} |"
 
-    def exponent_matrix(self) -> IntMatrix:
-        """Relator exponent vectors as columns: a rank x len(relators) matrix."""
-        return IntMatrix.from_columns([r.exponent_vector() for r in self.relators], self.rank)
-
     def abelianization_invariants(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, torsion orders) of the abelianized group."""
-        return cokernel_invariants(self.exponent_matrix())
+        """(free rank, torsion orders) of the abelianized group: the cokernel
+        of the rank x len(relators) matrix whose columns are the relators'
+        exponent vectors."""
+        return cokernel_invariants(IntMatrix.from_columns([r.exponent_vector() for r in self.relators], self.rank))
 
 
 @dataclass(frozen=True)

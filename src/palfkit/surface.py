@@ -61,12 +61,6 @@ class PlanarSurface:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PlanarSurface) and self.holes == other.holes
 
-    def __hash__(self) -> int:
-        return hash(("PlanarSurface", self.holes))
-
-    def __repr__(self) -> str:
-        return f"PlanarSurface(holes={self.holes})"
-
     def __str__(self) -> str:
         return f"S(0,{self.holes})"
 
@@ -135,15 +129,6 @@ class Curve:
                         break
             self._word = word
         return self._word
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Curve) and self.surface == other.surface and self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash((self.surface, self.word))
-
-    def __repr__(self) -> str:
-        return f"Curve({self.word!s})"
 
 
 def _class_under(phi: MappingClass, n: int, vector: tuple[int, ...]) -> tuple[int, ...]:
@@ -262,13 +247,6 @@ class MappingClass:
             and self.surface == other.surface
             and self.images == other.images
         )
-
-    def __hash__(self) -> int:
-        return hash((self.surface, self.images))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{n} -> {w}" for n, w in zip(self.surface.group.names, self.images))
-        return f"MappingClass({body})"
 
     def __call__(self, word: Word) -> Word:
         if word.group != self.surface.group:

@@ -7,7 +7,7 @@ of words is equality of group elements.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class FreeGroup:
@@ -31,12 +31,6 @@ class FreeGroup:
         if self is other:
             return True
         return isinstance(other, FreeGroup) and self.rank == other.rank and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.names))
-
-    def __repr__(self) -> str:
-        return f"FreeGroup({', '.join(self.names)})" if self.rank else "FreeGroup()"
 
     def word(self, letters: Iterable[int] = ()) -> Word:
         return Word(self, letters)
@@ -117,12 +111,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self.group == other.group and self.letters == other.letters

@@ -115,6 +115,37 @@ def palf_pool_texts(seed: int) -> list[str]:
     return texts
 
 
+def alexander_pool_texts(seed: int) -> list[str]:
+    """The perfbench alexander pool for one seed, rebuilt here in pool order
+    before its final shuffle: per group, three ribbon presentations (one n
+    from each third of 1..120), then random zero-exponent-sum presentations."""
+    rng = random.Random(seed)
+    lengths = {3: 40, 4: 28, 5: 20, 6: 14, 7: 10}
+    texts = []
+    for _ in range(40):
+        for lo, hi in ((1, 40), (41, 80), (81, 120)):
+            n = rng.randint(lo, hi)
+            texts.append(f"x y | (x y)^{n} x (x y)^-{n} y^-1")
+        for rank in (3, 4, 5, 6, 7, 3, 5):
+            relators = []
+            for _ in range(rank - 1):
+                signs = [1] * (lengths[rank] // 2) + [-1] * (lengths[rank] // 2)
+                rng.shuffle(signs)
+                letters = []
+                for s in signs:
+                    choices = [g for g in range(1, rank + 1) if not letters or letters[-1] != -s * g]
+                    letters.append(s * rng.choice(choices))
+                relators.append(" ".join("abcdefg"[abs(x) - 1] + ("" if x > 0 else "^-1") for x in letters))
+            texts.append(f"{' '.join('abcdefg'[:rank])} | {', '.join(relators)}")
+    return texts
+
+
+def spec_words(spec) -> tuple:
+    """The fiber and cycle words of a PALF spec: two specs that agree here
+    give the same factorization."""
+    return spec.fiber, tuple(c.word for c in spec.cycles)
+
+
 def to_sympy(p: LaurentPoly):
     return sp.expand(sum((c * _T ** e for e, c in p.coeffs.items()), sp.Integer(0)))
 

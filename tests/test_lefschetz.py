@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import minor_gcd_cokernel, random_twist_product, random_word
+from conftest import minor_gcd_cokernel, random_twist_product, random_word, spec_words
 from palfkit import lefschetz
 from palfkit.intmatrix import IntMatrix, cokernel_invariants, det
 from palfkit.knots import alexander_from_presentation, closed_form_factor
@@ -191,7 +191,7 @@ def test_pi1_abelianization_matches_boundary_matrix():
     for _ in range(200):
         spec = random_spec(rng)
         p = pi1_presentation(spec)
-        assert p.exponent_matrix() == boundary_matrix(spec)
+        assert IntMatrix.from_columns([r.exponent_vector() for r in p.relators], p.rank) == boundary_matrix(spec)
         assert p.abelianization_invariants() == cokernel_invariants(boundary_matrix(spec))
 
 
@@ -206,8 +206,8 @@ def test_family_pi1_trivial_abelianization():
 def test_family_cycles():
     spec = mazur_family(1)
     alpha, beta, gamma = family_curves()
-    assert spec.cycles[0] == alpha
-    assert spec.cycles[1] == beta
+    assert spec.cycles[0].word == alpha.word
+    assert spec.cycles[1].word == beta.word
     t_a, t_b, t_g = family_twists()
     phi = compose(t_g, t_b)
     assert spec.cycles[2].word == phi(gamma.word)
@@ -269,10 +269,10 @@ def test_family_closed_form_matches_iterated_phi():
         assert spec.cycles[2].word == word, n
         if n <= 60:
             iterated = PALFSpec(s, (alpha, beta, Curve(s, word, ((phi, n),), gamma)))
-            assert spec == iterated
+            assert spec_words(spec) == spec_words(iterated)
             assert spec.cycles[2].homology_class == iterated.cycles[2].homology_class
             cycle = spec.cycles[2]
-            assert (cycle.factors, cycle.base) == (((phi, n),), gamma)
+            assert (cycle.factors, cycle.base.word) == (((phi, n),), gamma.word)
         word = phi(word)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import palfkit.cli as cli
-from conftest import palf_pool_texts
+from conftest import alexander_pool_texts, palf_pool_texts
 import palfkit.grammar as grammar
 import palfkit.knots as knots
 from palfkit.grammar import MAX_HOLES, MAX_NESTING, MAX_WORD_LETTERS, parse_monodromy
@@ -235,35 +235,10 @@ ALEXANDER_DENSE = Path(__file__).parent / "data" / "alexander_dense.txt"
 ALEXANDER_STDOUT_SHA256 = "56fe271d4a5416bf9f6cdd936c8dd14c793a770780663121aca3734b5a13e0a9"
 
 
-def _alexander_pool_texts(seed):
-    # the perfbench alexander pool for one seed, rebuilt here in pool order
-    # before its final shuffle: per group, three ribbon presentations (one n
-    # from each third of 1..120), then random zero-exponent-sum presentations
-    rng = random.Random(seed)
-    lengths = {3: 40, 4: 28, 5: 20, 6: 14, 7: 10}
-    texts = []
-    for _ in range(40):
-        for lo, hi in ((1, 40), (41, 80), (81, 120)):
-            n = rng.randint(lo, hi)
-            texts.append(f"x y | (x y)^{n} x (x y)^-{n} y^-1")
-        for rank in (3, 4, 5, 6, 7, 3, 5):
-            relators = []
-            for _ in range(rank - 1):
-                signs = [1] * (lengths[rank] // 2) + [-1] * (lengths[rank] // 2)
-                rng.shuffle(signs)
-                letters = []
-                for s in signs:
-                    choices = [g for g in range(1, rank + 1) if not letters or letters[-1] != -s * g]
-                    letters.append(s * rng.choice(choices))
-                relators.append(" ".join("abcdefg"[abs(x) - 1] + ("" if x > 0 else "^-1") for x in letters))
-            texts.append(f"{' '.join('abcdefg'[:rank])} | {', '.join(relators)}")
-    return texts
-
-
 def test_cli_alexander_output_pinned(capsys):
     dense = [line.split("\t") for line in ALEXANDER_DENSE.read_text().splitlines() if not line.startswith("#")]
     assert [int(k) for k, _, _ in dense] == [7, 10, 12, 14]
-    texts = [text for seed in (1, 2, 3) for text in _alexander_pool_texts(seed)]
+    texts = [text for seed in (1, 2, 3) for text in alexander_pool_texts(seed)]
     assert len(texts) == 1200
     outputs = []
     for text in texts + [text for _, text, _ in dense]:
@@ -301,6 +276,17 @@ def test_cli_parse_error_exit_two(capsys):
         assert cli.main(["alexander", "--presentation", text]) == 2
         err = capsys.readouterr().err
         assert f"column {column}" in err and "Traceback" not in err
+
+
+def test_cli_duplicate_generator_is_reported_at_the_duplicate(capsys):
+    assert cli.main(["alexander", "--presentation", "x y x | x"]) == 2
+    assert capsys.readouterr() == ("", "error: duplicate generator name (line 1, column 5)\n")
+
+
+def test_cli_laurent_term_names_the_end_of_input(capsys):
+    for delta in ("1 +", "t -"):
+        assert cli.main(["casson", "--delta", delta, "--m", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: expected a term, found end of input (line 1, column 4)\n")
 
 
 def test_cli_usage_error_exit_two(capsys):
